@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qubit import (
-    CONSTANTS,
     FluxBias,
     SensorDesign,
     _d2_omega_d_phi2,
     _d_omega_d_ln_ic,
     _d_omega_d_phi,
-    _f_q,
+    _g01_squared,
+    _l_j,
     _omega_q,
     _require_operational,
 )
@@ -63,85 +63,24 @@ class DecayRates:
     gamma1_diel: float = 0.0  # dielectric channel, negligible here
 
 
-def _purcell(design: SensorDesign, phi):
-    omega_q = _omega_q(design, phi)
-    ratio = (design.f_q_max + design.e_c_over_h) / design.e_c_over_h
-    g01_sq = (
-        design.beta**2
-        * CONSTANTS.e**2
-        * (design.z0 / CONSTANTS.h)
-        * (omega_q + design.delta) ** 2
-        * ratio
-        * np.sqrt(np.cos(np.pi * phi))
-    )
-    return design.kappa * g01_sq / design.delta**2
+def channel_rates(design: SensorDesign, phi) -> tuple:
+    """Every channel and the envelope rates over an array of flux, 1/s.
 
-
-def _inductive(design: SensorDesign, phi):
-    e_c = CONSTANTS.h * design.e_c_over_h
-    omega_max_plus = 2 * np.pi * (design.f_q_max + design.e_c_over_h)
-    l_j = 2 * e_c / (CONSTANTS.e**2 * omega_max_plus**2 * np.cos(np.pi * phi))
-    omega_q = _omega_q(design, phi)
-    return (design.m_ind**2 + design.m_parasitic**2) * omega_q**2 / (l_j * design.z0)
-
-
-def _capacitive(design: SensorDesign, phi):
-    omega_q = _omega_q(design, phi)
-    return omega_q**2 * design.z0 * design.c_c**2 / design.c_qg
-
-
-def _flux_gauss(design: SensorDesign, phi):
-    return design.alpha_flux * np.abs(_d_omega_d_phi(design, phi))
-
-
-def _flux_exp(design: SensorDesign, phi):
-    return np.pi**2 * design.alpha_flux**2 * np.abs(_d2_omega_d_phi2(design, phi))
-
-
-def _curr_gauss(design: SensorDesign, phi):
-    return design.gamma_ic * np.abs(_d_omega_d_ln_ic(design, phi))
-
-
-def _envelope_ab(design: SensorDesign, phi):
-    a = (_purcell(design, phi) + _inductive(design, phi) + _capacitive(design, phi)) / 2.0
-    a = a + _flux_exp(design, phi)
-    b = np.hypot(_flux_gauss(design, phi), _curr_gauss(design, phi))
-    return a, b
-
-
-def purcell_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation through the readout resonator, kappa g01^2 / delta^2."""
-    _require_operational(bias.phi)
-    return float(_purcell(design, bias.phi))
-
-
-def inductive_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation into the bias line through M and M'."""
-    _require_operational(bias.phi)
-    return float(_inductive(design, bias.phi))
-
-
-def capacitive_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation into the drive line through the coupling capacitance."""
-    _require_operational(bias.phi)
-    return float(_capacitive(design, bias.phi))
-
-
-def flux_dephasing_rates(design: SensorDesign, bias: FluxBias) -> tuple[float, float]:
-    """Flux-noise dephasing as (gaussian_rate, exponential_rate).
-
-    The Gaussian rate multiplies t^2 in the decay exponent and vanishes
-    at the sweet spot; the exponential rate multiplies t and comes from
-    the spectrum curvature, so it survives at the sweet spot.
+    Returns arrays in ``DecayRates`` field order: cavity, inductive and
+    capacitive relaxation, exponential and Gaussian flux dephasing,
+    critical-current dephasing, then envelope A and B.  ``phi`` must lie
+    in the operational range.
     """
-    _require_operational(bias.phi)
-    return float(_flux_gauss(design, bias.phi)), float(_flux_exp(design, bias.phi))
-
-
-def critical_current_dephasing_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Gaussian dephasing rate from 1/f critical-current noise."""
-    _require_operational(bias.phi)
-    return float(_curr_gauss(design, bias.phi))
+    omega_q = _omega_q(design, phi)
+    cav = design.kappa * _g01_squared(design, phi) / design.delta**2
+    ind = (design.m_ind**2 + design.m_parasitic**2) * omega_q**2 / (_l_j(design, phi) * design.z0)
+    cap = omega_q**2 * design.z0 * design.c_c**2 / design.c_qg
+    fl_exp = np.pi**2 * design.alpha_flux**2 * np.abs(_d2_omega_d_phi2(design, phi))
+    fl_gauss = design.alpha_flux * np.abs(_d_omega_d_phi(design, phi))
+    curr = design.gamma_ic * np.abs(_d_omega_d_ln_ic(design, phi))
+    a = (cav + ind + cap) / 2.0 + fl_exp
+    b = np.hypot(fl_gauss, curr)
+    return cav, ind, cap, fl_exp, fl_gauss, curr, a, b
 
 
 def composite_rates(design: SensorDesign, bias: FluxBias) -> DecayRates:
@@ -151,42 +90,48 @@ def composite_rates(design: SensorDesign, bias: FluxBias) -> DecayRates:
     envelope_b = quadrature sum of the Gaussian dephasing rates
     """
     _require_operational(bias.phi)
-    phi = bias.phi
-    cav = float(_purcell(design, phi))
-    ind = float(_inductive(design, phi))
-    cap = float(_capacitive(design, phi))
-    fl_gauss = float(_flux_gauss(design, phi))
-    fl_exp = float(_flux_exp(design, phi))
-    curr = float(_curr_gauss(design, phi))
-    a = (cav + ind + cap) / 2.0 + fl_exp
-    b = float(np.hypot(fl_gauss, curr))
-    return DecayRates(
-        gamma1_cav=cav,
-        gamma1_ind=ind,
-        gamma1_cap=cap,
-        gamma_phi_flux_exp=fl_exp,
-        gamma_phi_flux_gauss=fl_gauss,
-        gamma_phi_curr_gauss=curr,
-        envelope_a=a,
-        envelope_b=b,
-    )
+    return DecayRates(*(float(v) for v in channel_rates(design, bias.phi)))
+
+
+def purcell_rate(design: SensorDesign, bias: FluxBias) -> float:
+    """Relaxation through the readout resonator, kappa g01^2 / delta^2."""
+    return composite_rates(design, bias).gamma1_cav
+
+
+def inductive_rate(design: SensorDesign, bias: FluxBias) -> float:
+    """Relaxation into the bias line through M and M'."""
+    return composite_rates(design, bias).gamma1_ind
+
+
+def capacitive_rate(design: SensorDesign, bias: FluxBias) -> float:
+    """Relaxation into the drive line through the coupling capacitance."""
+    return composite_rates(design, bias).gamma1_cap
+
+
+def flux_dephasing_rates(design: SensorDesign, bias: FluxBias) -> tuple[float, float]:
+    """Flux-noise dephasing as (gaussian_rate, exponential_rate).
+
+    The Gaussian rate multiplies t^2 in the decay exponent and vanishes
+    at the sweet spot; the exponential rate multiplies t and comes from
+    the spectrum curvature, so it survives at the sweet spot.
+    """
+    r = composite_rates(design, bias)
+    return r.gamma_phi_flux_gauss, r.gamma_phi_flux_exp
+
+
+def critical_current_dephasing_rate(design: SensorDesign, bias: FluxBias) -> float:
+    """Gaussian dephasing rate from 1/f critical-current noise."""
+    return composite_rates(design, bias).gamma_phi_curr_gauss
 
 
 def rates_table(design: SensorDesign, phi_values) -> str:
     """Render the per-channel rates at each flux point as CSV text (kHz)."""
+    phis = np.asarray(phi_values, dtype=float)
+    _require_operational(phis)
+    channels = channel_rates(design, phis)[:6]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(RATES_TABLE_HEADER)
-    for phi in phi_values:
-        r = composite_rates(design, FluxBias(float(phi)))
-        row = (
-            phi,
-            r.gamma1_cav / 1e3,
-            r.gamma1_ind / 1e3,
-            r.gamma1_cap / 1e3,
-            r.gamma_phi_flux_exp / 1e3,
-            r.gamma_phi_flux_gauss / 1e3,
-            r.gamma_phi_curr_gauss / 1e3,
-        )
+    for row in zip(phis, *(c / 1e3 for c in channels)):
         writer.writerow(f"{v:.9g}" for v in row)
     return buf.getvalue()

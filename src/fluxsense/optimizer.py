@@ -24,8 +24,9 @@ from .qubit import (
     SensorDesign,
     _d_omega_d_phi,
     _f_q,
+    _require_operational,
+    _visibility,
     spectrum_derivatives,
-    thermal_visibility,
 )
 
 DEFAULT_TAU_MIN = 100e-9
@@ -46,6 +47,15 @@ class OptimalPoint:
     at_search_boundary: bool = False
 
 
+def _optimal_delay(a, b, n_qubits):
+    # Elementwise positive root; 1/(N A) where B = 0, inf where A = B = 0.
+    n = n_qubits
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(n * n * a**2 + 8 * b**2 * n)
+        return np.where(b == 0, 1.0 / (n * a), (-n * a + disc) / (4 * b**2 * n))
+
+
 def optimal_delay(envelope_a: float, envelope_b: float, n_qubits: int = 1) -> float:
     """Delay maximizing tau * exp(-N (A tau + B^2 tau^2)).
 
@@ -56,11 +66,7 @@ def optimal_delay(envelope_a: float, envelope_b: float, n_qubits: int = 1) -> fl
         raise ValueError("envelope rates must be non-negative")
     if envelope_a == 0 and envelope_b == 0:
         raise ValueError("optimal delay is unbounded without decoherence")
-    n = n_qubits
-    if envelope_b == 0:
-        return 1.0 / (n * envelope_a)
-    disc = math.sqrt(n * n * envelope_a**2 + 8 * envelope_b**2 * n)
-    return (-n * envelope_a + disc) / (4 * envelope_b**2 * n)
+    return float(_optimal_delay(envelope_a, envelope_b, n_qubits))
 
 
 def coherence_time(envelope_a: float, envelope_b: float) -> float:
@@ -77,23 +83,42 @@ def coherence_time(envelope_a: float, envelope_b: float) -> float:
     return (-envelope_a + math.sqrt(envelope_a**2 + 4 * envelope_b**2)) / (2 * envelope_b**2)
 
 
+def sensitivity_array(design: SensorDesign, phi, n_qubits: int = 1, tau=None) -> np.ndarray:
+    """Flux sensitivity over an array of biases, 1/Phi_0.
+
+    Uses the optimal delay of each bias when ``tau`` is not given.  The
+    result is NaN where the bias lies outside [0, OPERATIONAL_PHI_MAX),
+    where the qubit frequency is not positive, and where the optimal
+    delay is unbounded (no decoherence at all).
+    """
+    phi = np.asarray(phi, dtype=float)
+    inside = (phi >= 0.0) & (phi < OPERATIONAL_PHI_MAX)
+    phi = np.where(inside, phi, 0.0)
+    f_q = _f_q(design, phi)
+    a, b = decoherence.channel_rates(design, phi)[-2:]
+    if tau is None:
+        tau = _optimal_delay(a, b, n_qubits)
+    vis = _visibility(f_q, design.temperature)
+    slope = np.abs(_d_omega_d_phi(design, phi))
+    n = n_qubits
+    with np.errstate(invalid="ignore"):  # inf * 0 where the delay is unbounded
+        s = 0.5 * n * tau * vis * np.exp(-n * (a * tau + b * b * tau * tau)) * slope
+    return np.where(inside & (f_q > 0), s, np.nan)
+
+
 def sensitivity(design: SensorDesign, bias: FluxBias, n_qubits: int = 1,
                 tau: float | None = None) -> float:
     """Flux sensitivity at the bias point, 1/Phi_0.
 
-    Uses the optimal delay when ``tau`` is not given.
+    Uses the optimal delay when ``tau`` is not given.  Raises
+    ValueError where ``sensitivity_array`` is NaN.
     """
-    rates = decoherence.composite_rates(design, bias)
-    a, b = rates.envelope_a, rates.envelope_b
-    if tau is None:
-        tau = optimal_delay(a, b, n_qubits)
-    if design.temperature == 0:
-        vis = 1.0
-    else:
-        vis = thermal_visibility(float(_f_q(design, bias.phi)), design.temperature)
-    slope = abs(spectrum_derivatives(design, bias).d_omega_d_phi)
-    n = n_qubits
-    return 0.5 * n * tau * vis * math.exp(-n * (a * tau + b * b * tau * tau)) * slope
+    _require_operational(bias.phi)
+    value = float(sensitivity_array(design, bias.phi, n_qubits, tau))
+    if math.isnan(value):
+        raise ValueError(f"sensitivity is undefined at phi = {bias.phi}: "
+                         "qubit frequency not positive or delay unbounded")
+    return value
 
 
 def step_budget(tau_opt: float, tau_min: float = DEFAULT_TAU_MIN) -> int:
@@ -123,60 +148,37 @@ def dynamic_range(design: SensorDesign, bias: FluxBias, tau_min: float = DEFAULT
     return math.pi / (tau_min * slope * n_qubits)
 
 
-def _sensitivity_on_grid(design: SensorDesign, phi: float) -> float:
-    # Raw objective used by the search; assumes phi already validated.
-    bias = FluxBias(phi)
-    try:
-        return sensitivity(design, bias)
-    except ValueError:
-        return -math.inf
-
-
-def _search_upper_limit(design: SensorDesign) -> float:
-    """Largest searchable flux: stop before f_q crosses zero (T > 0)."""
-    limit = OPERATIONAL_PHI_MAX
-    if design.temperature == 0:
-        return limit
-    # f_q > 0 <=> cos(pi phi) > (E_C/h / (f_max + E_C/h))^2
-    c_min = (design.e_c_over_h / (design.f_q_max + design.e_c_over_h)) ** 2
-    phi_zero = math.acos(c_min) / math.pi
-    return min(limit, phi_zero)
-
-
 def find_optimal_flux(design: SensorDesign, tau_min: float = DEFAULT_TAU_MIN) -> OptimalPoint:
     """Locate the bias maximizing the single-qubit sensitivity.
 
     Coarse scan at 1e-3 resolution followed by golden-section
-    refinement.  If the maximizer sits at the end of the searchable
-    range (monotone objective), the boundary point is returned with
-    ``at_search_boundary`` set.
+    refinement, over the biases where the sensitivity is defined.  If
+    the maximizer sits at the end of that range (monotone objective),
+    the boundary point is returned with ``at_search_boundary`` set.
     """
-    upper = _search_upper_limit(design)
-    grid = np.arange(0.0, upper, _COARSE_STEP)
-    values = np.array([_sensitivity_on_grid(design, p) for p in grid])
-    if not np.any(np.isfinite(values)):
+    # The scan closes on the edge of the operational range itself.
+    grid = np.append(np.arange(0.0, OPERATIONAL_PHI_MAX, _COARSE_STEP),
+                     OPERATIONAL_PHI_MAX - 1e-12)
+    values = sensitivity_array(design, grid)
+    defined = np.flatnonzero(~np.isnan(values))
+    if defined.size == 0:
         raise ValueError("sensitivity is undefined on the whole search range")
-    i_max = int(np.argmax(values))
+    i_max = int(np.nanargmax(values))
 
-    boundary = i_max == len(grid) - 1
-    if boundary:
-        # Monotone up to the search edge: report the edge itself.
-        epsilon = 1e-12
-        phi_star = upper - epsilon if upper == OPERATIONAL_PHI_MAX else grid[i_max]
-        phi_star = float(min(phi_star, upper - epsilon))
-    elif i_max == 0:
-        phi_star = float(grid[0])
+    boundary = i_max == int(defined[-1])
+    if boundary or i_max == 0:
+        phi_star = float(grid[i_max])
     else:
         bracket = (grid[i_max - 1], grid[i_max], grid[i_max + 1])
         try:
             res = minimize_scalar(
-                lambda p: -_sensitivity_on_grid(design, float(p)),
+                lambda p: -float(sensitivity_array(design, p)),
                 bracket=bracket,
                 method="golden",
                 options={"xtol": _REFINE_XTOL},
             )
             phi_star = float(res.x)
-        except ValueError:
+        except ValueError:  # no strict bracket: the coarse maximum is flat
             phi_star = float(grid[i_max])
 
     bias = FluxBias(phi_star)
@@ -199,7 +201,8 @@ class RidgeScan:
     """Sensitivity surface over (f_q_max, phi) for several temperatures.
 
     ``surface[t, i, j]`` is S at temperature t, zero-bias frequency i,
-    flux j; entries where the qubit frequency is not positive are NaN.
+    flux j; entries where ``sensitivity_array`` is undefined (qubit
+    frequency not positive, flux outside the operational range) are NaN.
     ``ridge_value``/``ridge_phi`` hold the per-frequency maxima.
     """
 
@@ -224,13 +227,11 @@ def ridge_scan(design: SensorDesign, f_q_max_values, phi_values, temperatures) -
     for ti, temp in enumerate(temps):
         for fi, f_max in enumerate(f_vals):
             d = replace(design, f_q_max=float(f_max), temperature=float(temp))
-            f_q = _f_q(d, phis)
-            valid = (f_q > 0) & (phis < OPERATIONAL_PHI_MAX)
-            for pj in np.nonzero(valid)[0]:
-                surface[ti, fi, pj] = _sensitivity_on_grid(d, float(phis[pj]))
+            surface[ti, fi] = sensitivity_array(d, phis)
 
-    ridge_value = np.nanmax(surface, axis=2)
-    ridge_phi = phis[np.nanargmax(np.where(np.isnan(surface), -np.inf, surface), axis=2)]
+    best = np.argmax(np.where(np.isnan(surface), -np.inf, surface), axis=2)
+    ridge_value = np.take_along_axis(surface, best[..., None], axis=2)[..., 0]
+    ridge_phi = phis[best]
     return RidgeScan(
         f_q_max_values=f_vals,
         phi_values=phis,

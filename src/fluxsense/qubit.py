@@ -152,6 +152,30 @@ def _d_omega_d_ln_ic(design: SensorDesign, phi):
     return np.pi * (design.f_q_max + design.e_c_over_h) * np.sqrt(np.cos(np.pi * phi))
 
 
+def _l_j(design: SensorDesign, phi):
+    e_c = CONSTANTS.h * design.e_c_over_h
+    omega_max_plus = 2 * np.pi * (design.f_q_max + design.e_c_over_h)
+    return 2 * e_c / (CONSTANTS.e**2 * omega_max_plus**2 * np.cos(np.pi * phi))
+
+
+def _g01_squared(design: SensorDesign, phi):
+    ratio = (design.f_q_max + design.e_c_over_h) / design.e_c_over_h
+    return (
+        design.beta**2
+        * CONSTANTS.e**2
+        * (design.z0 / CONSTANTS.h)
+        * (_omega_q(design, phi) + design.delta) ** 2
+        * ratio
+        * np.sqrt(np.cos(np.pi * phi))
+    )
+
+
+def _visibility(f_q, temperature: float):
+    if temperature == 0:
+        return 1.0
+    return np.tanh(CONSTANTS.h * f_q / (2 * CONSTANTS.k_B * temperature))
+
+
 class SpectrumDerivatives(NamedTuple):
     """Flux and critical-current derivatives of the angular frequency."""
 
@@ -179,24 +203,13 @@ def spectrum_derivatives(design: SensorDesign, bias: FluxBias) -> SpectrumDeriva
 def josephson_inductance(design: SensorDesign, bias: FluxBias) -> float:
     """Effective Josephson inductance of the SQUID at the bias point, H."""
     _require_operational(bias.phi)
-    e_c = CONSTANTS.h * design.e_c_over_h
-    omega_max_plus = 2 * np.pi * (design.f_q_max + design.e_c_over_h)
-    return float(2 * e_c / (CONSTANTS.e**2 * omega_max_plus**2 * np.cos(np.pi * bias.phi)))
+    return float(_l_j(design, bias.phi))
 
 
 def coupling_g01(design: SensorDesign, bias: FluxBias) -> float:
     """Qubit-resonator coupling rate g01 at the bias point, rad/s."""
     _require_operational(bias.phi)
-    omega_q = _omega_q(design, bias.phi)
-    ratio = (design.f_q_max + design.e_c_over_h) / design.e_c_over_h
-    return float(
-        design.beta
-        * CONSTANTS.e
-        * math.sqrt(design.z0 / CONSTANTS.h)
-        * (omega_q + design.delta)
-        * math.sqrt(ratio)
-        * np.cos(np.pi * bias.phi) ** 0.25
-    )
+    return float(np.sqrt(_g01_squared(design, bias.phi)))
 
 
 def thermal_visibility(f_q: float, temperature: float) -> float:
@@ -208,6 +221,4 @@ def thermal_visibility(f_q: float, temperature: float) -> float:
         raise ValueError(f"transition frequency must be positive, got {f_q}")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0:
-        return 1.0
-    return float(np.tanh(CONSTANTS.h * f_q / (2 * CONSTANTS.k_B * temperature)))
+    return float(_visibility(f_q, temperature))

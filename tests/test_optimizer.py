@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsense import FluxBias, SensorDesign
+from fluxsense import FluxBias, SensorDesign, thermal_visibility, transition_frequency
 from fluxsense.decoherence import composite_rates
 from fluxsense.fringes import FringeEvaluator
 from fluxsense.optimizer import (
@@ -14,8 +14,10 @@ from fluxsense.optimizer import (
     optimal_delay,
     ridge_scan,
     sensitivity,
+    sensitivity_array,
     step_budget,
 )
+from fluxsense.qubit import OPERATIONAL_PHI_MAX, spectrum_derivatives
 
 DESIGN = SensorDesign()
 BIAS = FluxBias(0.442)
@@ -108,6 +110,68 @@ def test_sensitivity_zero_temperature():
     assert sensitivity(cold, BIAS) > warm
 
 
+def _sensitivity_oracle(design, phi, n):
+    # per-point composition of the scalar layers; NaN where S is undefined
+    if not 0.0 <= phi < OPERATIONAL_PHI_MAX:
+        return math.nan
+    bias = FluxBias(phi)
+    f_q = transition_frequency(design, bias)
+    if f_q <= 0:
+        return math.nan
+    r = composite_rates(design, bias)
+    a, b = r.envelope_a, r.envelope_b
+    tau = optimal_delay(a, b, n)
+    vis = thermal_visibility(f_q, design.temperature)
+    slope = abs(spectrum_derivatives(design, bias).d_omega_d_phi)
+    return 0.5 * n * tau * vis * math.exp(-n * (a * tau + b * b * tau * tau)) * slope
+
+
+def _zero_crossing(design):
+    c_min = (design.e_c_over_h / (design.f_q_max + design.e_c_over_h)) ** 2
+    return math.acos(c_min) / math.pi
+
+
+def test_sensitivity_array_matches_scalar_oracle():
+    rng = np.random.default_rng(20240917)
+    designs = [
+        dataclasses.replace(DESIGN, temperature=0.0),
+        dataclasses.replace(DESIGN, alpha_flux=0.0, gamma_ic=0.0),  # B = 0 branch
+        dataclasses.replace(DESIGN, f_q_max=1e9, e_c_over_h=0.5e9, temperature=0.0),
+    ]
+    for _ in range(20):
+        designs.append(dataclasses.replace(
+            DESIGN,
+            f_q_max=float(rng.uniform(1e9, 25e9)),
+            e_c_over_h=float(rng.uniform(0.1e9, 0.6e9)),
+            alpha_flux=float(10 ** rng.uniform(-7, -5)),
+            gamma_ic=float(10 ** rng.uniform(-7, -5)),
+            temperature=float(rng.choice([0.0, rng.uniform(0.01, 0.3)])),
+        ))
+    for design in designs:
+        edge = _zero_crossing(design)
+        phis = np.concatenate([
+            [0.0, -0.1, OPERATIONAL_PHI_MAX, 0.6],
+            rng.uniform(0.0, OPERATIONAL_PHI_MAX, 40),
+            edge + np.linspace(-1e-3, 1e-3, 9),  # f_q crosses zero here
+        ])
+        for n in (1, 2, 3):
+            got = sensitivity_array(design, phis, n_qubits=n)
+            want = np.array([_sensitivity_oracle(design, float(p), n) for p in phis])
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert got[0] == 0.0  # no flux slope at the sweet spot
+        assert np.isnan(sensitivity_array(design, edge + 1e-4))
+
+
+def test_zero_temperature_optimum_keeps_positive_frequency():
+    cold = dataclasses.replace(DESIGN, f_q_max=1e9, e_c_over_h=0.5e9, temperature=0.0)
+    point = find_optimal_flux(cold)
+    assert transition_frequency(cold, FluxBias(point.phi_star)) > 0
+    assert point.phi_star < _zero_crossing(cold)
+    with pytest.raises(ValueError):
+        sensitivity(cold, FluxBias(0.48))  # f_q < 0 there
+
+
 def test_find_optimal_flux_reference_design():
     point = find_optimal_flux(DESIGN)
     assert point.phi_star == pytest.approx(0.4405979339951417, rel=1e-6)
@@ -183,3 +247,13 @@ def test_ridge_scan_masks_unreachable_flux():
     scan = ridge_scan(DESIGN, [2e9], phi_values, [0.04])
     assert np.isnan(scan.surface[0, 0, -1])      # qubit frequency crossed zero
     assert np.isfinite(scan.surface[0, 0, 1:300]).all()
+
+    # one validity mask at every temperature, zero included
+    f_values = np.array([1e9, 1.5e9, 2e9, 9e9])
+    phis = np.linspace(0.0, OPERATIONAL_PHI_MAX, 400)
+    scan = ridge_scan(DESIGN, f_values, phis, [0.0, 0.04])
+    e_c = DESIGN.e_c_over_h
+    f_q = (f_values[:, None] + e_c) * np.sqrt(np.cos(np.pi * phis)) - e_c
+    unreachable = (f_q <= 0) | (phis >= OPERATIONAL_PHI_MAX)
+    for surface in scan.surface:
+        np.testing.assert_array_equal(np.isnan(surface), unreachable)
