@@ -161,17 +161,14 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
 
     paths = []
     for t_index, t_mk in enumerate(temps_mk):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("fq_max_ghz", "phi", "sensitivity_per_phi0"))
-        for i, f in enumerate(f_values):
-            for j, phi in enumerate(phi_values):
-                value = scan.surface[t_index, i, j]
-                if np.isnan(value):
-                    continue
-                writer.writerow((f"{f / 1e9:.9g}", f"{phi:.9g}", f"{value:.9g}"))
+        surface = scan.surface[t_index]
+        rows, cols = np.nonzero(~np.isnan(surface))
+        cells = zip(f_values[rows].tolist(), phi_values[cols].tolist(),
+                    surface[rows, cols].tolist())
+        lines = ["fq_max_ghz,phi,sensitivity_per_phi0"]
+        lines += [f"{f / 1e9:.9g},{phi:.9g},{value:.9g}" for f, phi, value in cells]
         path = outdir / f"ridge_surface_{t_mk:g}mk.csv"
-        _write_text(path, buf.getvalue())
+        _write_text(path, "\r\n".join(lines) + "\r\n")
         paths.append(path)
 
     buf = io.StringIO()
@@ -229,7 +226,6 @@ def _cmd_inductance(args, config: ToolConfig, outdir: Path) -> list[Path]:
         "M_pH": _json_float(report.m_squid * 1e12),
         "M_parasitic_pH": _json_float(report.m_parasitic * 1e12),
         "periodicity_mA": _json_float(report.periodicity_current * 1e3),
-        "quadrature_error": _json_float(report.quadrature_error),
     }
     path = outdir / "inductance.json"
     _write_text(path, json.dumps(payload, indent=2) + "\n")
@@ -292,7 +288,10 @@ def _run(args) -> int:
     started = time.perf_counter()
     config = load_config(args.config) if args.config else parse_config("")
     if args.seed is not None:
-        config = replace(config, pea=replace(config.pea, master_seed=args.seed))
+        try:
+            config = replace(config, pea=replace(config.pea, master_seed=args.seed))
+        except ValueError as exc:
+            raise _UsageError(f"--seed: {exc}") from None
 
     outdir = Path(args.outdir or os.environ.get(OUTPUT_DIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,53 +1,39 @@
 """Flat ``key = value`` configuration for the whole toolkit.
 
 Format rules: one ``key = value`` assignment per line, ``#`` starts a
-comment, blank lines are ignored, keys are case-sensitive.  Unknown
-keys are rejected with their line number.  Keys left out fall back to
-the reference-sensor defaults, so an empty file is a complete, valid
-configuration.
+comment, blank lines are ignored, keys are case-sensitive.  Unknown,
+malformed and out-of-range values are rejected with their line number.
+Keys left out fall back to the reference-sensor defaults, so an empty
+file is a complete, valid configuration.
 
-Most physical quantities accept two spellings: the canonical field
-name in SI units, and a unit-suffixed convenience form.
+The canonical keys are the fields of ``SensorDesign``, ``PeaConfig`` and
+``BiasLineGeometry`` plus ``bias_phi``, in SI units, each parsed by its
+field's type.  The unit-suffixed aliases in ``_ALIASES`` (``f_q_max_ghz``,
+``kappa_mhz``, ``temperature_mk``, ``tau_min_ns``, ``x_a_um``, ...) are
+scaled into SI; setting both spellings of one field is an error.
+``kappa_mhz`` and ``delta_ghz`` take plain linewidth/detuning
+frequencies and are converted to angular rates.
 
-    sensor design    f_q_max (Hz)           f_q_max_ghz
-                     e_c_over_h (Hz)        e_c_over_h_ghz
-                     kappa (rad/s)          kappa_mhz (linewidth)
-                     delta (rad/s)          delta_ghz (detuning)
-                     z0 (Ohm)               z0_ohm
-                     beta
-                     c_c (F)                c_c_ff
-                     c_qg (F)               c_qg_ff
-                     m_ind (H)              m_ind_ph
-                     m_parasitic (H)        m_parasitic_ph
-                     alpha_flux
-                     gamma_ic
-                     temperature (K)        temperature_mk
-    operating point  bias_phi (Phi_0 units)
-    estimation       n_qubits, sigma0, sigma1, epsilon, n_steps,
-                     n_flux_targets, n_repetitions, master_seed,
-                     decoherence_enabled, measurement_cap, grid_size,
-                     tau_min (s) / tau_min_ns
-    bias-line layout x_a (m) / x_a_um, feed_width / feed_width_um,
-                     arm_width / arm_width_um,
-                     squid_rect<i> / squid_rect<i>_um,
-                     gap_rect<i> / gap_rect<i>_um
-
-Setting both spellings of one field is an error.  ``kappa_mhz`` and
-``delta_ghz`` take plain linewidth/detuning frequencies and are
-converted to angular rates.  Rectangle values are comma-separated
+The bias-line patches are set as rectangles ``squid_rect<i>`` and
+``gap_rect<i>`` (meters, or ``_um`` variants), i = 1..8: comma-separated
 ``x1, x2, y1, y2`` with an optional fifth entry ``orientation``
 (+1 or -1); providing any ``squid_rect<i>`` (or ``gap_rect<i>``)
 replaces the entire default rectangle set of that group.
+
+Only the dataclasses check ranges.  A rejected configuration is
+reported at the first line whose value fails on its own over the
+defaults; a conflict between lines that pass alone has no line number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 from .magnetostatics import BiasLineGeometry, FluxPatch
 from .pea import PeaConfig
-from .qubit import SensorDesign
+from .qubit import FluxBias, SensorDesign
 
 DEFAULT_BIAS_PHI = 0.442  # operating point of the reference sensor
 
@@ -66,6 +52,9 @@ class ToolConfig:
     pea: PeaConfig
     geometry: BiasLineGeometry
     bias_phi: float = DEFAULT_BIAS_PHI
+
+    def __post_init__(self) -> None:
+        FluxBias(self.bias_phi)
 
 
 def _parse_float(text: str) -> float:
@@ -98,101 +87,55 @@ def _parse_rect(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _positive(value, key: str) -> None:
-    if value <= 0:
-        raise ConfigError(f"{key} must be positive, got {value}")
+_PARSERS = {float: _parse_float, int: _parse_int, int | None: _parse_int, bool: _parse_bool}
 
+# Rectangle key prefix -> the BiasLineGeometry field its patches replace.
+_RECT_GROUPS = {"squid_rect": "squid_patches", "gap_rect": "gap_patches"}
 
-def _non_negative(value, key: str) -> None:
-    if value < 0:
-        raise ConfigError(f"{key} must be non-negative, got {value}")
-
-
-def _check_f_q_max(value, key: str) -> None:
-    if not 1e9 <= value <= 25e9:
-        raise ConfigError(f"{key} must lie between 1 and 25 GHz, got {value} Hz")
-
-
-def _check_bias_phi(value, key: str) -> None:
-    if not 0.0 <= value < 0.5:
-        raise ConfigError(f"{key} must lie in [0, 0.5), got {value}")
-
-
-def _check_epsilon(value, key: str) -> None:
-    if not 0.0 < value < 0.5:
-        raise ConfigError(f"{key} must lie in (0, 0.5), got {value}")
-
-
-def _check_n_qubits(value, key: str) -> None:
-    if value not in (1, 2, 3):
-        raise ConfigError(f"{key} must be 1, 2, or 3, got {value}")
-
-
-def _at_least(minimum: int):
-    def check(value, key: str) -> None:
-        if value < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-    return check
-
-
-def _no_check(value, key: str) -> None:
-    return None
-
-
-# Registry rows: key -> (group, field, parser, scale, check).
-# Scale multiplies numeric values into SI after parsing.
+# Unit-suffixed alias -> (canonical key, factor into SI units).
 _ANGULAR_MHZ = 2 * math.pi * 1e6
 _ANGULAR_GHZ = 2 * math.pi * 1e9
+_ALIASES = {
+    "f_q_max_ghz": ("f_q_max", 1e9),
+    "e_c_over_h_ghz": ("e_c_over_h", 1e9),
+    "kappa_mhz": ("kappa", _ANGULAR_MHZ),
+    "delta_ghz": ("delta", _ANGULAR_GHZ),
+    "z0_ohm": ("z0", 1.0),
+    "c_c_ff": ("c_c", 1e-15),
+    "c_qg_ff": ("c_qg", 1e-15),
+    "m_ind_ph": ("m_ind", 1e-12),
+    "m_parasitic_ph": ("m_parasitic", 1e-12),
+    "temperature_mk": ("temperature", 1e-3),
+    "tau_min_ns": ("tau_min", 1e-9),
+    "x_a_um": ("x_a", 1e-6),
+    "feed_width_um": ("feed_width", 1e-6),
+    "arm_width_um": ("arm_width", 1e-6),
+}
 
-_KEYS: dict[str, tuple[str, str, object, float, object]] = {}
+
+def _derive_keys() -> tuple[dict[str, type], dict[str, tuple[tuple[str, ...], object, float]]]:
+    """ToolConfig's dataclass sections, and key -> (path in config_to_dict form, parser, scale)."""
+    sections: dict[str, type] = {}
+    keys: dict[str, tuple[tuple[str, ...], object, float]] = {}
+    for outer, outer_type in get_type_hints(ToolConfig).items():
+        if not is_dataclass(outer_type):
+            keys[outer] = ((outer,), _PARSERS[outer_type], 1.0)
+            continue
+        sections[outer] = outer_type
+        hints = get_type_hints(outer_type)
+        for field in fields(outer_type):
+            if field.name not in _RECT_GROUPS.values():
+                keys[field.name] = ((outer, field.name), _PARSERS[hints[field.name]], 1.0)
+    for alias, (canonical, scale) in _ALIASES.items():
+        keys[alias] = (*keys[canonical][:2], scale)
+    for prefix in _RECT_GROUPS:  # one slot per rectangle, gathered into the group's patches
+        for slot in (f"{prefix}{i}" for i in range(1, _MAX_RECTANGLES + 1)):
+            keys[slot] = (("geometry", slot), _parse_rect, 1.0)
+            keys[f"{slot}_um"] = (("geometry", slot), _parse_rect, 1e-6)
+    return sections, keys
 
 
-def _register(key, group, field, parser, scale, check) -> None:
-    _KEYS[key] = (group, field, parser, scale, check)
-
-
-def _register_float_pair(canonical, group, field, alias, scale, check) -> None:
-    _register(canonical, group, field, _parse_float, 1.0, check)
-    if alias is not None:
-        _register(alias, group, field, _parse_float, scale, check)
-
-
-_register_float_pair("f_q_max", "design", "f_q_max", "f_q_max_ghz", 1e9, _check_f_q_max)
-_register_float_pair("e_c_over_h", "design", "e_c_over_h", "e_c_over_h_ghz", 1e9, _positive)
-_register_float_pair("kappa", "design", "kappa", "kappa_mhz", _ANGULAR_MHZ, _positive)
-_register_float_pair("delta", "design", "delta", "delta_ghz", _ANGULAR_GHZ, _positive)
-_register_float_pair("z0", "design", "z0", "z0_ohm", 1.0, _positive)
-_register_float_pair("beta", "design", "beta", None, 1.0, _non_negative)
-_register_float_pair("c_c", "design", "c_c", "c_c_ff", 1e-15, _positive)
-_register_float_pair("c_qg", "design", "c_qg", "c_qg_ff", 1e-15, _positive)
-_register_float_pair("m_ind", "design", "m_ind", "m_ind_ph", 1e-12, _non_negative)
-_register_float_pair("m_parasitic", "design", "m_parasitic", "m_parasitic_ph", 1e-12, _non_negative)
-_register_float_pair("alpha_flux", "design", "alpha_flux", None, 1.0, _non_negative)
-_register_float_pair("gamma_ic", "design", "gamma_ic", None, 1.0, _non_negative)
-_register_float_pair("temperature", "design", "temperature", "temperature_mk", 1e-3, _non_negative)
-
-_register_float_pair("bias_phi", "bias", "bias_phi", None, 1.0, _check_bias_phi)
-
-_register("n_qubits", "pea", "n_qubits", _parse_int, 1.0, _check_n_qubits)
-_register_float_pair("tau_min", "pea", "tau_min", "tau_min_ns", 1e-9, _positive)
-_register_float_pair("sigma0", "pea", "sigma0", None, 1.0, _positive)
-_register_float_pair("sigma1", "pea", "sigma1", None, 1.0, _positive)
-_register_float_pair("epsilon", "pea", "epsilon", None, 1.0, _check_epsilon)
-_register("n_steps", "pea", "n_steps", _parse_int, 1.0, _at_least(1))
-_register("n_flux_targets", "pea", "n_flux_targets", _parse_int, 1.0, _at_least(1))
-_register("n_repetitions", "pea", "n_repetitions", _parse_int, 1.0, _at_least(2))
-_register("master_seed", "pea", "master_seed", _parse_int, 1.0, _non_negative)
-_register("decoherence_enabled", "pea", "decoherence_enabled", _parse_bool, 1.0, _no_check)
-_register("measurement_cap", "pea", "measurement_cap", _parse_int, 1.0, _at_least(1))
-_register("grid_size", "pea", "grid_size", _parse_int, 1.0, _at_least(2))
-
-_register_float_pair("x_a", "geometry", "x_a", "x_a_um", 1e-6, _positive)
-_register_float_pair("feed_width", "geometry", "feed_width", "feed_width_um", 1e-6, _positive)
-_register_float_pair("arm_width", "geometry", "arm_width", "arm_width_um", 1e-6, _positive)
-for _i in range(1, _MAX_RECTANGLES + 1):
-    for _grp, _fld in (("geometry", f"squid_rect{_i}"), ("geometry", f"gap_rect{_i}")):
-        _register(_fld, _grp, _fld, _parse_rect, 1.0, _no_check)
-        _register(f"{_fld}_um", _grp, _fld, _parse_rect, 1e-6, _no_check)
+_SECTIONS, _KEYS = _derive_keys()
 
 
 def _scan_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -225,50 +168,56 @@ def _patch_from_rect(values: tuple[float, ...], scale: float, key: str, lineno: 
         raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
 
 
+def _assign(data: dict, path: tuple[str, ...], value) -> dict:
+    *outer, name = path
+    inner = data
+    for part in outer:
+        inner = inner.setdefault(part, {})
+    inner[name] = value
+    return data
+
+
+def _build(data: dict) -> ToolConfig:
+    """ToolConfig from ``config_to_dict`` form; omitted fields take their defaults."""
+    sections = {name: cls(**data.get(name, {})) for name, cls in _SECTIONS.items()}
+    return ToolConfig(**sections, **{k: v for k, v in data.items() if k not in _SECTIONS})
+
+
 def parse_config(text: str) -> ToolConfig:
     """Parse configuration text into a fully resolved ToolConfig."""
-    assignments = _scan_lines(text)
-
-    # Reject the same field set through two spellings.
-    field_sources: dict[tuple[str, str], str] = {}
-    for key in assignments:
-        group, field = _KEYS[key][:2]
-        other = field_sources.setdefault((group, field), key)
+    first_key: dict[tuple[str, ...], str] = {}
+    settings = []  # (path, value, key, line number), in line order
+    rects: dict[str, FluxPatch] = {}
+    for key, (lineno, raw) in _scan_lines(text).items():
+        path, parser, scale = _KEYS[key]
+        other = first_key.setdefault(path, key)
         if other != key:
             raise ConfigError(f"keys {other!r} and {key!r} both set the same parameter")
-
-    values: dict[str, dict[str, object]] = {"design": {}, "pea": {}, "bias": {}, "geometry": {}}
-    rects: dict[str, tuple[tuple[float, ...], float, str, int]] = {}
-    for key, (lineno, raw) in assignments.items():
-        group, field, parser, scale, check = _KEYS[key]
         try:
-            parsed = parser(raw)
+            value = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
         if parser is _parse_rect:
-            rects[field] = (parsed, scale, key, lineno)
-            continue
-        if parser is _parse_float:
-            parsed = parsed * scale
-        check(parsed, key)
-        values[group][field] = parsed
+            rects[path[-1]] = _patch_from_rect(value, scale, key, lineno)
+        else:
+            settings.append((path, value * scale if parser is _parse_float else value, key, lineno))
 
-    geometry_kwargs = values["geometry"]
-    for prefix, target in (("squid_rect", "squid_patches"), ("gap_rect", "gap_patches")):
-        provided = sorted(f for f in rects if f.startswith(prefix))
+    data: dict = {}
+    for path, value, _, _ in settings:
+        _assign(data, path, value)
+    for prefix, target in _RECT_GROUPS.items():
+        provided = sorted(slot for slot in rects if slot.startswith(prefix))
         if provided:
-            geometry_kwargs[target] = tuple(
-                _patch_from_rect(*rects[field]) for field in provided
-            )
-
+            _assign(data, ("geometry", target), tuple(rects[slot] for slot in provided))
     try:
-        design = SensorDesign(**values["design"])
-        pea = PeaConfig(**values["pea"])
-        geometry = BiasLineGeometry(**geometry_kwargs)
+        return _build(data)
     except ValueError as exc:
+        for path, value, key, lineno in settings:
+            try:
+                _build(_assign({}, path, value))
+            except ValueError as alone:
+                raise ConfigError(f"line {lineno}: {key}: {alone}") from alone
         raise ConfigError(str(exc)) from exc
-    bias_phi = values["bias"].get("bias_phi", DEFAULT_BIAS_PHI)
-    return ToolConfig(design=design, pea=pea, geometry=geometry, bias_phi=float(bias_phi))
 
 
 def load_config(path) -> ToolConfig:
@@ -279,72 +228,12 @@ def load_config(path) -> ToolConfig:
 
 def config_to_dict(config: ToolConfig) -> dict:
     """Plain-data view of a resolved configuration (JSON-friendly)."""
-
-    def patch_fields(patch: FluxPatch) -> dict:
-        return {
-            "x1": patch.x1, "x2": patch.x2, "y1": patch.y1, "y2": patch.y2,
-            "orientation": patch.orientation,
-        }
-
-    design, pea, geom = config.design, config.pea, config.geometry
-    return {
-        "design": {
-            "f_q_max": design.f_q_max,
-            "e_c_over_h": design.e_c_over_h,
-            "kappa": design.kappa,
-            "delta": design.delta,
-            "z0": design.z0,
-            "beta": design.beta,
-            "c_c": design.c_c,
-            "c_qg": design.c_qg,
-            "m_ind": design.m_ind,
-            "m_parasitic": design.m_parasitic,
-            "alpha_flux": design.alpha_flux,
-            "gamma_ic": design.gamma_ic,
-            "temperature": design.temperature,
-        },
-        "pea": {
-            "n_qubits": pea.n_qubits,
-            "tau_min": pea.tau_min,
-            "sigma0": pea.sigma0,
-            "sigma1": pea.sigma1,
-            "epsilon": pea.epsilon,
-            "n_steps": pea.n_steps,
-            "n_flux_targets": pea.n_flux_targets,
-            "n_repetitions": pea.n_repetitions,
-            "master_seed": pea.master_seed,
-            "decoherence_enabled": pea.decoherence_enabled,
-            "measurement_cap": pea.measurement_cap,
-            "grid_size": pea.grid_size,
-        },
-        "geometry": {
-            "x_a": geom.x_a,
-            "feed_width": geom.feed_width,
-            "arm_width": geom.arm_width,
-            "squid_patches": [patch_fields(p) for p in geom.squid_patches],
-            "gap_patches": [patch_fields(p) for p in geom.gap_patches],
-        },
-        "bias_phi": config.bias_phi,
-    }
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ToolConfig:
-    """Inverse of config_to_dict."""
-
-    def patch(entry: dict) -> FluxPatch:
-        return FluxPatch(entry["x1"], entry["x2"], entry["y1"], entry["y2"],
-                         orientation=entry["orientation"])
-
-    geometry = data["geometry"]
-    return ToolConfig(
-        design=SensorDesign(**data["design"]),
-        pea=PeaConfig(**data["pea"]),
-        geometry=BiasLineGeometry(
-            x_a=geometry["x_a"],
-            feed_width=geometry["feed_width"],
-            arm_width=geometry["arm_width"],
-            squid_patches=tuple(patch(p) for p in geometry["squid_patches"]),
-            gap_patches=tuple(patch(p) for p in geometry["gap_patches"]),
-        ),
-        bias_phi=data["bias_phi"],
-    )
+    """Inverse of config_to_dict; the dataclasses validate every value."""
+    geometry = dict(data["geometry"])
+    for target in _RECT_GROUPS.values():
+        geometry[target] = tuple(FluxPatch(**entry) for entry in geometry[target])
+    return _build({**data, "geometry": geometry})

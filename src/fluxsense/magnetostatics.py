@@ -10,12 +10,20 @@ has a closed form obtained from the Biot-Savart line integral:
     right arm: B = mu0 I / (8 pi y) (x/r - (x-x_a)/r_-)  r_- over (x-x_a, y)
     left arm:  B = mu0 I / (8 pi y) ((x+x_a)/r_+ - x/r)  r_+ over (x+x_a, y)
 
-Mutual inductances follow from integrating the summed field over the
-receiving loop areas: the two rectangles making up the SQUID loop for
-M, and the oriented gap strips flanking the qubit arm for the parasitic
-M'.  The published loop coordinates are not known exactly; the defaults
-below are tuned so the quadrature reproduces the design values
-M = 2.08 pH (about 1 mA per flux quantum) and M' = 0.22 pH.
+Mutual inductances follow from the flux of the summed field through
+the receiving loop areas: the two rectangles making up the SQUID loop
+for M, and the oriented gap strips flanking the qubit arm for the
+parasitic M'.  The flux through a rectangle is exact: the corner sum of
+the field's double antiderivative, in units of mu0 I / 4 pi,
+
+    feed:  y ln(r + y) - r
+    arms:  (H(x + x_a, y) - H(x - x_a, y)) / 2,
+           H(u, y) = r_u - |u| ln(|u| + r_u) + |u| ln|y|
+
+(the x/r terms of the two arms cancel in the sum).  The published loop
+coordinates are not known exactly; the defaults below are tuned so the
+flux reproduces the design values M = 2.08 pH (about 1 mA per flux
+quantum) and M' = 0.22 pH.
 """
 
 from __future__ import annotations
@@ -24,14 +32,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-from scipy.integrate import quad
-
 from .qubit import CONSTANTS
 
 
 class FieldSingularityError(ValueError):
-    """Field evaluation requested on one of the conductors."""
+    """Field or flux requested on one of the conductors."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,9 @@ class BiasLineGeometry:
     gap_patches: tuple[FluxPatch, ...] = _DEFAULT_GAP
 
     def __post_init__(self) -> None:
-        if self.x_a <= 0:
-            raise ValueError("arm length x_a must be positive")
+        for name in ("x_a", "feed_width", "arm_width"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.squid_patches:
             raise ValueError("at least one SQUID patch is required")
 
@@ -143,44 +149,49 @@ def field_at(geometry: BiasLineGeometry, x: float, y: float, current: float = 1.
     return float(sum(field_components(geometry, x, y, current)))
 
 
-_QUAD_LIMIT = 200
+def _arm_primitive(u: float, y: float, log_y: bool) -> float:
+    """H(u, y) = r - |u| ln(|u| + r) [+ |u| ln|y|], with d2H/du dy = u / (y r)."""
+    a, r = abs(u), math.hypot(u, y)
+    h = r - a * math.log(a + r)
+    return h + a * math.log(abs(y)) if log_y else h
+
+
+def _primitive(x_a: float, x: float, y: float, log_y: bool) -> float:
+    """Double antiderivative of the total field, in units of mu0 I / 4 pi."""
+    r = math.hypot(x, y)
+    # r + y cancels alongside the feed (y < 0, |x| << |y|); x^2 / (r - y) does not.
+    r_plus_y = r + y if y >= 0 else x * x / (r - y)
+    feed = y * math.log(r_plus_y) - r
+    arms = 0.5 * (_arm_primitive(x + x_a, y, log_y) - _arm_primitive(x - x_a, y, log_y))
+    return feed + arms
 
 
 def flux_through_rectangle(geometry: BiasLineGeometry, patch: FluxPatch,
-                           current: float = 1.0, rel_tol: float = 1e-4) -> tuple[float, float]:
-    """Flux through one patch by nested adaptive 1-D quadrature.
+                           current: float = 1.0) -> float:
+    """Flux through one patch, in closed form; the orientation sign is applied.
 
-    Returns (flux, error_estimate); the orientation sign is applied.
-    The quadrature is driven to a relative tolerance of ``rel_tol`` on
-    the result.  The inner (y) integrals run three decades tighter than
-    the outer so their residuals stay below the outer error estimate.
+    The flux is the corner sum of the field's double antiderivative.
+    Raises FieldSingularityError for a patch that touches the feed or
+    an arm, where the flux diverges.
     """
-    # Clamp the quadpack tolerances to their legal double-precision range;
-    # a rel_tol below the floor is still honored by the error gate below,
-    # which then reports the tolerance as unattainable.
-    eps_outer = min(max(rel_tol, 2e-11), 1e-6)
-    eps_inner = eps_outer * 1e-3
-
-    def strip(x: float) -> float:
-        value, _ = quad(lambda y: field_at(geometry, x, y, current),
-                        patch.y1, patch.y2, epsabs=0.0, epsrel=eps_inner,
-                        limit=_QUAD_LIMIT)
-        return value
-
-    value, err = quad(strip, patch.x1, patch.x2, epsabs=0.0, epsrel=eps_outer,
-                      limit=_QUAD_LIMIT)
-    if value != 0 and err > rel_tol * abs(value):
-        raise ArithmeticError(
-            f"quadrature error {err:.3e} exceeds {rel_tol:.0e} of flux {value:.3e}"
-        )
-    return patch.orientation * value, err
+    x_a = geometry.x_a
+    on_feed = patch.x1 <= 0 <= patch.x2 and patch.y1 <= 0
+    on_arm = patch.y1 <= 0 <= patch.y2 and patch.x1 <= x_a and patch.x2 >= -x_a
+    if on_feed or on_arm:
+        raise FieldSingularityError(f"{patch} touches the bias line")
+    # Wholly beyond an arm end the ln|y| terms are equal at both x corners
+    # and cancel; dropping them keeps a corner on y = 0 finite.
+    log_y = not (patch.x1 >= x_a or patch.x2 <= -x_a)
+    total = sum(sx * sy * _primitive(x_a, x, y, log_y)
+                for x, sx in ((patch.x2, 1), (patch.x1, -1))
+                for y, sy in ((patch.y2, 1), (patch.y1, -1)))
+    return patch.orientation * CONSTANTS.mu_0 * current / (4 * math.pi) * total
 
 
 class InductanceReport(NamedTuple):
     m_squid: float           # H
     m_parasitic: float       # H
     periodicity_current: float  # A per flux quantum
-    quadrature_error: float  # H, summed error estimates
 
 
 def mutual_inductances(geometry: BiasLineGeometry) -> InductanceReport:
@@ -190,17 +201,8 @@ def mutual_inductances(geometry: BiasLineGeometry) -> InductanceReport:
     unit current; M' likewise over the gap patches (reported as a
     magnitude).  The bias-current periodicity is Phi_0 / M.
     """
-    m = 0.0
-    err = 0.0
-    for patch in geometry.squid_patches:
-        f, e = flux_through_rectangle(geometry, patch)
-        m += f
-        err += e
-    mp = 0.0
-    for patch in geometry.gap_patches:
-        f, e = flux_through_rectangle(geometry, patch)
-        mp += f
-        err += e
+    m = sum(flux_through_rectangle(geometry, patch) for patch in geometry.squid_patches)
+    mp = sum(flux_through_rectangle(geometry, patch) for patch in geometry.gap_patches)
     if m <= 0:
         raise ArithmeticError("SQUID coupling came out non-positive; check geometry")
-    return InductanceReport(m, abs(mp), CONSTANTS.Phi_0 / m, err)
+    return InductanceReport(m, abs(mp), CONSTANTS.Phi_0 / m)

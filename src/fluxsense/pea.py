@@ -90,6 +90,8 @@ class PeaConfig:
             )
         if self.n_repetitions < 2:
             raise ValueError("need at least two repetitions for the spread estimate")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
     @property
     def resolved_grid_size(self) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -95,11 +96,51 @@ def test_pea_and_bias_keys():
     ("grid_size = 100\nn_steps = 9\n", "n_steps"),
     ("squid_rect1 = 5, 1, 0, 2\n", "squid_rect1"),
     ("squid_rect1 = 1, 2, 3\n", "x1, x2, y1, y2"),
+    ("z0 = 50\ntemperature_mk = -1\n", "line 2: temperature_mk"),
+    ("master_seed = -3\n", "line 1: master_seed"),
+    ("feed_width_um = -5\n", "line 1: feed_width_um"),
+    ("bias_phi = 0.7\n", "line 1: bias_phi"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("pea", "master_seed", -3),
+    ("geometry", "feed_width", -1.0),
+    (None, "bias_phi", 0.7),
+])
+def test_config_from_dict_validates(section, field, value):
+    payload = config_to_dict(parse_config(""))
+    (payload[section] if section else payload)[field] = value
+    with pytest.raises(ValueError):
+        config_from_dict(payload)
+
+
+def test_every_dataclass_field_is_a_config_key():
+    from fluxsense.config import _KEYS
+
+    for cls in (SensorDesign, PeaConfig, BiasLineGeometry):
+        for field in dataclasses.fields(cls):
+            if field.init and not field.name.endswith("_patches"):
+                assert field.name in _KEYS, f"{cls.__name__}.{field.name}"
+
+
+@pytest.mark.parametrize("text", [
+    "grid_size = 16\nn_steps = 4\n",
+    "n_steps = 4\ngrid_size = 16\n",
+])
+def test_cross_field_values_checked_together(text):
+    pea = parse_config(text).pea
+    assert (pea.grid_size, pea.n_steps) == (16, 4)
+
+
+def test_cross_field_conflict_has_no_line():
+    # each line passes alone over the defaults; only together do they conflict
+    with pytest.raises(ConfigError, match=r"^n_steps must satisfy"):
+        parse_config("n_qubits = 2\nn_steps = 11\n")
 
 
 def test_rectangle_overrides_replace_group():
