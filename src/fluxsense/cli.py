@@ -202,14 +202,17 @@ def _cmd_calibration(args, config: ToolConfig, outdir: Path) -> list[Path]:
 
 
 def _cmd_pea(args, config: ToolConfig, outdir: Path) -> list[Path]:
-    pea = config.pea
+    overrides = {}
     if args.preset is not None:
-        preset = DESK_PRESET if args.preset == "desk" else FULL_PRESET
-        pea = replace(pea, **preset)
+        overrides.update(DESK_PRESET if args.preset == "desk" else FULL_PRESET)
     if args.n_qubits is not None:
-        pea = replace(pea, n_qubits=args.n_qubits)
+        overrides["n_qubits"] = args.n_qubits
     if args.no_decoherence:
-        pea = replace(pea, decoherence_enabled=False)
+        overrides["decoherence_enabled"] = False
+    try:
+        pea = replace(config.pea, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"pea options conflict with the configuration: {exc}") from exc
     result = run_campaign(config.design, FluxBias(config.bias_phi), pea, n_jobs=args.jobs)
     steps_path = outdir / "pea_steps.csv"
     runs_path = outdir / "pea_runs.csv"

@@ -97,7 +97,7 @@ class BiasLineGeometry:
 
     def __post_init__(self) -> None:
         for name in ("x_a", "feed_width", "arm_width"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.squid_patches:
             raise ValueError("at least one SQUID patch is required")

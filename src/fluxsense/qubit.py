@@ -100,11 +100,12 @@ class SensorDesign:
     def __post_init__(self) -> None:
         if not 1e9 <= self.f_q_max <= 25e9:
             raise ValueError(f"f_q_max must lie between 1 and 25 GHz, got {self.f_q_max} Hz")
+        # Written so that NaN fails every check.
         for name in ("e_c_over_h", "kappa", "delta", "z0", "c_c", "c_qg"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("beta", "m_ind", "m_parasitic", "alpha_flux", "gamma_ic", "temperature"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 

@@ -119,6 +119,20 @@ def test_config_from_dict_validates(section, field, value):
         config_from_dict(payload)
 
 
+@pytest.mark.parametrize("section,field", [
+    ("design", "kappa"),
+    ("design", "temperature"),
+    ("pea", "sigma0"),
+    ("pea", "measurement_cap"),
+    ("geometry", "x_a"),
+])
+def test_config_from_dict_rejects_nan(section, field):
+    payload = config_to_dict(parse_config(""))
+    payload[section][field] = math.nan
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(payload)
+
+
 def test_every_dataclass_field_is_a_config_key():
     from fluxsense.config import _KEYS
 
@@ -229,6 +243,17 @@ def test_cli_numerical_error(tmp_path, capsys):
     rc = main(["calibration", "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert _stderr_error(capsys)["type"] == "numerical"
+
+
+def test_cli_pea_option_conflict_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("n_steps = 11\n", encoding="utf-8")  # fits 6144 = 3 * 2^11, not 3072
+    rc = main(["pea", "--n-qubits", "2", "--config", str(cfg), "--outdir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    error = _stderr_error(capsys)
+    assert error["type"] == "config"
+    assert "n_steps" in error["message"]
+    assert not (tmp_path / "pea_steps.csv").exists()
 
 
 def test_cli_io_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from fluxsense import (
     run_single,
     run_step,
     runs_report,
-    sample_measurement,
+    sample_measurements,
 )
 
 DESIGN = SensorDesign()
@@ -118,16 +118,14 @@ def test_custom_grid_size():
 def test_sample_measurement_limits():
     config = PeaConfig(sigma0=1e-12, sigma1=1e-12)
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        assert sample_measurement(1.0, config, rng) == pytest.approx(1.0, abs=1e-9)
-        assert sample_measurement(0.0, config, rng) == pytest.approx(0.0, abs=1e-9)
+    assert sample_measurements(1.0, 100, config, rng) == pytest.approx(np.ones(100), abs=1e-9)
+    assert sample_measurements(0.0, 100, config, rng) == pytest.approx(np.zeros(100), abs=1e-9)
+    assert sample_measurements(0.5, 0, config, rng).shape == (0,)
 
 
 def test_sample_measurement_mean():
     config = PeaConfig()
-    rng = np.random.default_rng(77)
-    draws = np.fromiter(
-        (sample_measurement(0.5, config, rng) for _ in range(200_000)), float)
+    draws = sample_measurements(0.5, 200_000, config, np.random.default_rng(77))
     # E[x] = p: the noise is centered on the outcome levels 0 and 1
     assert abs(draws.mean() - 0.5) < 0.01
 
@@ -243,18 +241,119 @@ def test_run_step_rejects_bad_cardinality():
 
 
 def test_run_step_keeps_true_flux():
-    # halving discards the true flux with probability <= 2 epsilon
+    # the kept window loses the true flux with probability <= epsilon
     config = PeaConfig(n_qubits=1, grid_size=16, n_steps=4, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(1)
-    true_flux = float(grid.fluxes[4])  # lower half
-    wrong = 0
+    true_flux = float(grid.fluxes[4])
+    lost = 0
     for child in np.random.SeedSequence(901).spawn(2000):
         rec = run_step(grid, true_flux, evaluator, config,
                        np.random.default_rng(child))
-        if rec.survivors.fluxes[0] != grid.fluxes[0]:
-            wrong += 1
-    assert wrong <= 1  # 2 epsilon * 2000 trials = 0.4 expected failures
+        assert len(rec.survivors) == 8
+        if true_flux not in rec.survivors.fluxes:
+            lost += 1
+    assert lost <= 1  # epsilon * 2000 trials = 0.2 expected losses
+
+
+def test_target_at_interval_centre_never_caps():
+    # p = 1/2 at the target for every candidate interval centred on it: a
+    # lower-or-upper-half rule stalls there, the heaviest window does not
+    config = PeaConfig(n_qubits=1, grid_size=64, n_steps=6, decoherence_enabled=False)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    evaluator = _evaluator(1)
+    centre = float(grid.fluxes[32])
+    tau, theta = choose_delay(grid, evaluator, config)
+    assert evaluator.probability_excited(centre, tau, theta) == pytest.approx(0.5, abs=1e-9)
+    for child in np.random.SeedSequence(3232).spawn(200):
+        result = run_single(centre, evaluator, config, np.random.default_rng(child))
+        assert not result.cap_hits.any()
+        assert result.retained.all()
+
+
+def _window_test(weights, half, epsilon):
+    """Whether the heaviest window of ``half`` candidates holds 1 - epsilon, and its start."""
+    below = np.concatenate(([0.0], np.cumsum(weights)))
+    above = np.concatenate(([0.0], np.cumsum(weights[::-1])))
+    outside = below[:half + 1] + above[half::-1]
+    start = int(np.argmin(outside))
+    return bool(outside[start] <= epsilon * below[-1]), start
+
+
+def _replay_step(candidates, rec, evaluator, config):
+    """Survivors of one recorded step, one readout at a time through posterior_update."""
+    probs = evaluator.probability_excited(candidates.fluxes, rec.tau, rec.theta)
+    half = len(candidates) // 2
+    weights = candidates.weights
+    for count, x in enumerate(rec.readouts, start=1):
+        weights = posterior_update(weights, probs, x, config)
+        decided, start = _window_test(weights, half, config.epsilon)
+        if decided:
+            break
+    assert count == rec.n_measurements, "the step stopped at another readout"
+    assert decided != rec.cap_hit
+    if rec.cap_hit:
+        assert count == config.measurement_cap
+    kept = weights[start:start + half]
+    return CandidateSet(candidates.fluxes[start:start + half], kept / kept.sum(),
+                        candidates.spacing)
+
+
+def _level_span_nats(readouts, config):
+    x = np.asarray(readouts)
+    ll1 = -0.5 * ((x - 1.0) / config.sigma1) ** 2 - np.log(config.sigma1)
+    ll0 = -0.5 * (x / config.sigma0) ** 2 - np.log(config.sigma0)
+    return float(np.abs(ll1 - ll0).sum())
+
+
+@pytest.mark.parametrize("n_qubits, decohere, sigma, grid_size, cap, seed", [
+    (1, False, 1.0, None, 10_000, 1),
+    (2, True, 1.0, None, 10_000, 2),
+    (3, True, 0.05, None, 10_000, 3),
+    (1, True, 0.05, 16, 10_000, 4),
+    (2, False, 0.05, 64, 10_000, 5),
+    (3, True, 1.0, 64, 10_000, 6),
+    (3, False, 1.0, 16, 10_000, 7),
+    (2, True, 1.0, 64, 100, 8),      # the cap ends the second block early
+])
+def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size, cap, seed):
+    n_steps = {None: 9, 16: 4, 64: 6}[grid_size]
+    config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, grid_size=grid_size,
+                       n_steps=n_steps, measurement_cap=cap, decoherence_enabled=decohere)
+    evaluator = _evaluator(n_qubits, decohere)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    true_flux = float(grid.fluxes[(37 * seed) % len(grid)])
+    result = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
+                        record_steps=True)
+    candidates = grid
+    for rec in result.steps:
+        survivors = _replay_step(candidates, rec, evaluator, config)
+        assert np.array_equal(survivors.fluxes, rec.survivors.fluxes), "another window kept"
+        heavy = survivors.weights > 1e-200
+        assert rec.survivors.weights[heavy] == pytest.approx(
+            survivors.weights[heavy], rel=1e-9, abs=0)
+        candidates = survivors
+    if cap < 10_000:
+        assert result.cap_hits.any()
+    if decohere and sigma == 1.0 and grid_size is None:
+        # a capped step spans far more than one block may: the decay cut ran
+        spans = [_level_span_nats(rec.readouts, config) for rec in result.steps]
+        assert max(spans) > 10 * 600
+
+
+def test_run_step_degenerate_readout(monkeypatch):
+    # a readout about 40 sigma from both levels underflows every likelihood,
+    # in the blocked update as in the sequential one
+    config = PeaConfig(n_qubits=1, grid_size=16, n_steps=4, decoherence_enabled=False)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    with pytest.raises(DegenerateLikelihoodError):
+        posterior_update(grid.weights, np.full(16, 0.5), 40.0, config)
+    stream = iter([0.3, 0.8, 40.0] + [0.5] * 61)  # third readout of the first block
+    monkeypatch.setattr("fluxsense.pea.sample_measurements",
+                        lambda p, k, config, rng: np.fromiter(stream, float, k))
+    with pytest.raises(DegenerateLikelihoodError):
+        run_step(grid, float(grid.fluxes[4]), _evaluator(1), config,
+                 np.random.default_rng(0))
 
 
 def test_run_step_two_candidates():
@@ -292,6 +391,7 @@ def test_run_single_traces():
         assert len(rec.readouts) == result.counts[i]
         assert len(rec.survivors) == 6144 >> (i + 1)
         assert result.estimates[i] == rec.survivors.posterior_mean()
+        assert result.retained[i] == (true_flux in rec.survivors.fluxes)
     # the final interval is 12 grid spacings wide and contains the target
     assert abs(result.estimates[-1] - true_flux) < 12 * grid.spacing
 
@@ -348,9 +448,14 @@ def test_full_targets_take_every_eighth_point():
 def test_report_formats():
     result = run_campaign(DESIGN, BIAS, TINY_CAMPAIGN)
     agg = aggregate_report(result).splitlines()
-    assert agg[0] == "step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s"
+    assert agg[0] == ("step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s,"
+                      "cap_hit_frac,truth_retained_frac")
     assert len(agg) == 1 + 6
     assert agg[1].startswith("1,")
+    for i, line in enumerate(agg[1:]):
+        cap_frac, retained_frac = map(float, line.split(",")[-2:])
+        assert cap_frac == pytest.approx(result.cap_hits[:, :, i].mean(), rel=1e-8)
+        assert retained_frac == pytest.approx(result.retained[:, :, i].mean(), rel=1e-8)
     runs = runs_report(result).splitlines()
     assert runs[0] == ("target_index,repetition,step,tau_s,n_measurements,"
                        "estimate_phi0,cumulative_time_s,cap_hit")
