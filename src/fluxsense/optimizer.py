@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import decoherence
 from .qubit import (
@@ -31,6 +30,7 @@ from .qubit import (
 
 DEFAULT_TAU_MIN = 100e-9
 _COARSE_STEP = 1e-3
+_REFINE_POINTS = 65
 _REFINE_XTOL = 1e-6
 
 
@@ -151,9 +151,10 @@ def dynamic_range(design: SensorDesign, bias: FluxBias, tau_min: float = DEFAULT
 def find_optimal_flux(design: SensorDesign, tau_min: float = DEFAULT_TAU_MIN) -> OptimalPoint:
     """Locate the bias maximizing the single-qubit sensitivity.
 
-    Coarse scan at 1e-3 resolution followed by golden-section
-    refinement, over the biases where the sensitivity is defined.  If
-    the maximizer sits at the end of that range (monotone objective),
+    Coarse scan at 1e-3 resolution over the biases where the
+    sensitivity is defined, then 65-point rescans of the bracket around
+    the best point until the bracket is narrower than 1e-6.  If the
+    maximizer sits at the end of the defined range (monotone objective),
     the boundary point is returned with ``at_search_boundary`` set.
     """
     # The scan closes on the edge of the operational range itself.
@@ -169,17 +170,12 @@ def find_optimal_flux(design: SensorDesign, tau_min: float = DEFAULT_TAU_MIN) ->
     if boundary or i_max == 0:
         phi_star = float(grid[i_max])
     else:
-        bracket = (grid[i_max - 1], grid[i_max], grid[i_max + 1])
-        try:
-            res = minimize_scalar(
-                lambda p: -float(sensitivity_array(design, p)),
-                bracket=bracket,
-                method="golden",
-                options={"xtol": _REFINE_XTOL},
-            )
-            phi_star = float(res.x)
-        except ValueError:  # no strict bracket: the coarse maximum is flat
-            phi_star = float(grid[i_max])
+        lo, hi = grid[i_max - 1], grid[i_max + 1]
+        while hi - lo >= _REFINE_XTOL:
+            fine = np.linspace(lo, hi, _REFINE_POINTS)
+            j = int(np.nanargmax(sensitivity_array(design, fine)))
+            lo, hi = fine[max(j - 1, 0)], fine[min(j + 1, _REFINE_POINTS - 1)]
+        phi_star = float(fine[j])
 
     bias = FluxBias(phi_star)
     rates = decoherence.composite_rates(design, bias)

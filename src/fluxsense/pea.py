@@ -267,6 +267,14 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     cap = config.measurement_cap
     limit = max(1, _BLOCK_CELLS // m)
     size = min(_FIRST_BLOCK, limit)
+    # Block buffers, allocated once per step and sliced to k rows per
+    # block: fresh [k, m] arrays on every block cost heap trimming and
+    # page faults.
+    rows = min(limit, cap)
+    posterior_buf = np.empty((rows, m))
+    below_buf = np.empty((rows, half + 1))
+    above_buf = np.empty((rows, half + 1))
+    below_buf[:, 0] = above_buf[:, 0] = 0.0
     weights = candidates.weights
     readouts: list[float] = []
     n = 0
@@ -276,7 +284,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
         k = max(1, int(np.searchsorted(np.cumsum(span), _BLOCK_NATS, side="right")))
         size = min(2 * k, limit)
         # posterior[r] = weights * prod over readouts 0..r of the scaled likelihoods
-        posterior = np.multiply.outer(a1[:k] - a0[:k], probs)
+        posterior = np.multiply.outer(a1[:k] - a0[:k], probs, out=posterior_buf[:k])
         posterior += a0[:k, None]
         posterior[0] *= weights
         if m >= _ROW_PRODUCT_MIN:
@@ -286,9 +294,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
             np.cumprod(posterior, axis=0, out=posterior)
         # Mass below window [s, s + half) from the lower half of the
         # candidates, mass above it from the upper half, for s = 0..half.
-        below = np.empty((k, half + 1))
-        above = np.empty((k, half + 1))
-        below[:, 0] = above[:, 0] = 0.0
+        below, above = below_buf[:k], above_buf[:k]
         np.cumsum(posterior[:, :half], axis=1, out=below[:, 1:])
         np.cumsum(posterior[:, :half - 1:-1], axis=1, out=above[:, 1:])
         outside = below + above[:, ::-1]

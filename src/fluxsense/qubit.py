@@ -21,23 +21,30 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import constants as _const
 
 
 class FluxDomainError(ValueError):
     """Flux bias outside the usable part of the half-period."""
 
 
+_H = 6.62607015e-34     # J s
+_E = 1.602176634e-19    # C
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA constants used by the model, bundled for traceability."""
+    """Physical constants used by the model, bundled for traceability.
 
-    h: float = _const.h
-    hbar: float = _const.hbar
-    e: float = _const.e
-    k_B: float = _const.k
-    mu_0: float = _const.mu_0
-    Phi_0: float = _const.physical_constants["mag. flux quantum"][0]
+    h, e and k_B are exact in the SI since 2019; mu_0 is the CODATA 2022
+    value; hbar = h / 2 pi and Phi_0 = h / 2e follow from them.
+    """
+
+    h: float = _H
+    hbar: float = _H / (2 * math.pi)
+    e: float = _E
+    k_B: float = 1.380649e-23   # J/K
+    mu_0: float = 1.25663706127e-06   # N/A^2
+    Phi_0: float = _H / (2 * _E)
 
 
 CONSTANTS = PhysicalConstants()

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+import fluxsense
 from fluxsense import FluxBias, SensorDesign, thermal_visibility, transition_frequency
 from fluxsense.decoherence import composite_rates
 from fluxsense.fringes import FringeEvaluator
@@ -184,11 +189,46 @@ def test_find_optimal_flux_reference_design():
     assert not point.at_search_boundary
 
 
+def _golden_optimum(design):
+    """Coarse 1e-3 scan plus scipy's golden-section search on its bracket."""
+    grid = np.append(np.arange(0.0, OPERATIONAL_PHI_MAX, 1e-3), OPERATIONAL_PHI_MAX - 1e-12)
+    values = sensitivity_array(design, grid)
+    i = int(np.nanargmax(values))
+    boundary = i == int(np.flatnonzero(~np.isnan(values))[-1])
+    if boundary or i == 0:
+        return float(grid[i]), boundary
+    try:
+        res = minimize_scalar(lambda p: -float(sensitivity_array(design, p)),
+                              bracket=tuple(grid[i - 1:i + 2]), method="golden",
+                              options={"xtol": 1e-6})
+    except ValueError:  # no strict bracket: the coarse maximum is flat
+        return float(grid[i]), boundary
+    return float(res.x), boundary
+
+
 def test_find_optimal_flux_is_local_maximum():
     point = find_optimal_flux(DESIGN)
     s_star = sensitivity(DESIGN, FluxBias(point.phi_star))
     assert sensitivity(DESIGN, FluxBias(point.phi_star - 1e-4)) < s_star
     assert sensitivity(DESIGN, FluxBias(point.phi_star + 1e-4)) < s_star
+
+    rng = np.random.default_rng(2211)
+    interior = 0
+    for _ in range(20):
+        design = dataclasses.replace(
+            DESIGN,
+            f_q_max=rng.uniform(2e9, 20e9),
+            temperature=rng.uniform(0.0, 0.1),
+            alpha_flux=10 ** rng.uniform(-7.0, -5.0),
+        )
+        point = find_optimal_flux(design)
+        phi_golden, boundary = _golden_optimum(design)
+        assert abs(point.phi_star - phi_golden) <= 1e-6
+        s_new, s_golden = sensitivity_array(design, [point.phi_star, phi_golden])
+        assert s_new >= s_golden * (1 - 1e-12)
+        assert point.at_search_boundary == boundary
+        interior += not boundary
+    assert interior >= 15
 
 
 def test_find_optimal_flux_boundary_case():
@@ -198,6 +238,17 @@ def test_find_optimal_flux_boundary_case():
     point = find_optimal_flux(quiet)
     assert point.at_search_boundary
     assert point.phi_star < 0.5
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(fluxsense.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fluxsense; fluxsense.find_optimal_flux(fluxsense.SensorDesign()); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_step_budget():

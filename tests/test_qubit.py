@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants as scipy_constants
 
 from fluxsense import (
     CONSTANTS,
@@ -25,6 +26,15 @@ def test_constants_identities():
         assert value > 0
     assert c.hbar == pytest.approx(c.h / (2 * math.pi), rel=1e-12)
     assert c.Phi_0 == pytest.approx(c.h / (2 * c.e), rel=1e-12)
+    # The literals equal scipy's CODATA values bit for bit.
+    assert (c.h, c.hbar, c.e, c.k_B, c.mu_0, c.Phi_0) == (
+        scipy_constants.h,
+        scipy_constants.hbar,
+        scipy_constants.e,
+        scipy_constants.k,
+        scipy_constants.mu_0,
+        scipy_constants.physical_constants["mag. flux quantum"][0],
+    )
 
 
 def test_flux_bias_domain():
