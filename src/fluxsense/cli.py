@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -159,14 +160,16 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
     scan = ridge_scan(config.design, f_values, phi_values,
                       np.asarray(temps_mk) * 1e-3)
 
+    # Each frequency and flux is formatted once; each cell formats its value.
+    f_text = [f"{f / 1e9:.9g}," for f in f_values.tolist()]
+    phi_text = [f"{phi:.9g}," for phi in phi_values.tolist()]
     paths = []
     for t_index, t_mk in enumerate(temps_mk):
         surface = scan.surface[t_index]
         rows, cols = np.nonzero(~np.isnan(surface))
-        cells = zip(f_values[rows].tolist(), phi_values[cols].tolist(),
-                    surface[rows, cols].tolist())
+        cells = zip(rows.tolist(), cols.tolist(), surface[rows, cols].tolist())
         lines = ["fq_max_ghz,phi,sensitivity_per_phi0"]
-        lines += [f"{f / 1e9:.9g},{phi:.9g},{value:.9g}" for f, phi, value in cells]
+        lines += [f"{f_text[i]}{phi_text[j]}{value:.9g}" for i, j, value in cells]
         path = outdir / f"ridge_surface_{t_mk:g}mk.csv"
         _write_text(path, "\r\n".join(lines) + "\r\n")
         paths.append(path)
@@ -319,9 +322,14 @@ def _run(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         _emit_error("usage", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG

@@ -18,8 +18,6 @@ as products of 4 x 4 unitaries.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,10 +168,8 @@ def simulate_projection_sequence(phase: float) -> GateSequenceState:
 def pattern_grid(evaluator: FringeEvaluator, phi_values, tau: float,
                  theta: float = 0.0) -> str:
     """Fringe pattern over a flux grid as CSV text: phi_ext,probability."""
-    probs = evaluator.probability_excited(np.asarray(phi_values, dtype=float), tau, theta)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("phi_ext", "probability"))
-    for phi, p in zip(phi_values, np.atleast_1d(probs)):
-        writer.writerow((f"{phi:.9g}", f"{p:.9g}"))
-    return buf.getvalue()
+    phis = np.asarray(phi_values, dtype=float)
+    probs = np.atleast_1d(evaluator.probability_excited(phis, tau, theta))
+    lines = ["phi_ext,probability"]
+    lines += [f"{phi:.9g},{p:.9g}" for phi, p in zip(phis.tolist(), probs.tolist())]
+    return "\r\n".join(lines) + "\r\n"

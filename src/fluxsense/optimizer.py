@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,17 +214,24 @@ class RidgeScan:
 def ridge_scan(design: SensorDesign, f_q_max_values, phi_values, temperatures) -> RidgeScan:
     """Map the sensitivity ridge over design frequency and temperature.
 
-    All other design parameters are taken from ``design``.
+    All other design parameters are taken from ``design``.  Each
+    f_q_max and temperature is validated as a ``SensorDesign``; then one
+    ``sensitivity_array`` call evaluates the whole [T, F, Phi] grid,
+    with temperature broadcast as [T, 1, 1] and f_q_max as [F, 1].
     """
     f_vals = np.asarray(f_q_max_values, dtype=float)
     phis = np.asarray(phi_values, dtype=float)
     temps = np.asarray(temperatures, dtype=float)
-    surface = np.full((temps.size, f_vals.size, phis.size), np.nan)
+    for f_max in f_vals.flat:
+        replace(design, f_q_max=float(f_max))
+    for temp in temps.flat:
+        replace(design, temperature=float(temp))
 
-    for ti, temp in enumerate(temps):
-        for fi, f_max in enumerate(f_vals):
-            d = replace(design, f_q_max=float(f_max), temperature=float(temp))
-            surface[ti, fi] = sensitivity_array(d, phis)
+    # SensorDesign rejects arrays, so the kernels get a namespace copy.
+    grid = SimpleNamespace(**vars(design))
+    grid.f_q_max = f_vals.reshape(-1, 1)
+    grid.temperature = temps.reshape(-1, 1, 1)
+    surface = sensitivity_array(grid, phis)
 
     best = np.argmax(np.where(np.isnan(surface), -np.inf, surface), axis=2)
     ridge_value = np.take_along_axis(surface, best[..., None], axis=2)[..., 0]

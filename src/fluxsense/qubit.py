@@ -178,10 +178,13 @@ def _g01_squared(design: SensorDesign, phi):
     )
 
 
-def _visibility(f_q, temperature: float):
-    if temperature == 0:
-        return 1.0
-    return np.tanh(CONSTANTS.h * f_q / (2 * CONSTANTS.k_B * temperature))
+def _visibility(f_q, temperature):
+    # Scalar or array temperature, broadcast against f_q; 1 where T = 0,
+    # where the tanh argument is a division by zero.
+    t = np.asarray(temperature, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.tanh(CONSTANTS.h * f_q / (2 * CONSTANTS.k_B * t))
+    return np.where(t == 0, 1.0, v)
 
 
 class SpectrumDerivatives(NamedTuple):

@@ -1,20 +1,28 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fluxsense import (
     BiasLineGeometry,
     ConfigError,
+    FluxBias,
+    FringeEvaluator,
     PeaConfig,
     SensorDesign,
     config_from_dict,
     config_to_dict,
+    dynamic_range,
     load_config,
     parse_config,
     rates_table,
+    ridge_scan,
 )
+from fluxsense import cli
 from fluxsense.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -237,6 +245,31 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert _stderr_error(capsys)["type"] == "usage"
 
 
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    commands = (["frobnicate"], ["rates", "--outdir", str(tmp_path)],
+                ["inductance", "--outdir", str(tmp_path)])
+    outputs = {"rates": "rates.csv", "inductance": "inductance.json"}
+
+    def invoke(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        path = tmp_path / outputs.get(argv[0], "none")
+        return rc, captured.out, captured.err, path.read_bytes() if path.exists() else None
+
+    first = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first.append(invoke(argv))
+    assert [result[0] for result in first] == [EXIT_CONFIG, EXIT_OK, EXIT_OK]
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert [invoke(argv) for argv in commands] == first
+    assert len(builds) == 1
+
+
 def test_cli_numerical_error(tmp_path, capsys):
     cfg = tmp_path / "sweet.cfg"
     cfg.write_text("bias_phi = 0\n", encoding="utf-8")  # no flux slope there
@@ -280,12 +313,27 @@ def test_cli_optimal_point(tmp_path, capsys):
 def test_cli_calibration(tmp_path, capsys):
     assert main(["calibration", "--outdir", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
-    lines = (tmp_path / "calibration_pattern.csv").read_text().splitlines()
+    written = (tmp_path / "calibration_pattern.csv").read_bytes()
+    lines = written.decode().splitlines()
     assert lines[0] == "phi_ext,probability"
     assert len(lines) == 1 + 512
     probs = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(0.0 <= p <= 1.0 for p in probs)
     assert float(lines[1].split(",")[0]) == 0.0
+
+    # Format oracle: the same pattern rendered one csv.writer row per point
+    config = parse_config("")
+    bias = FluxBias(config.bias_phi)
+    span = dynamic_range(config.design, bias, config.pea.tau_min, config.pea.n_qubits)
+    phi_values = (span / 512) * np.arange(512)
+    evaluator = FringeEvaluator(config.design, bias, n_qubits=config.pea.n_qubits,
+                                decoherence_enabled=config.pea.decoherence_enabled)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("phi_ext", "probability"))
+    for phi, p in zip(phi_values, evaluator.probability_excited(phi_values, config.pea.tau_min)):
+        writer.writerow((f"{phi:.9g}", f"{p:.9g}"))
+    assert written == buf.getvalue().encode()
 
 
 def test_cli_inductance(tmp_path, capsys):
@@ -313,6 +361,31 @@ def test_cli_ridge(tmp_path, capsys):
     for line in maxima[1:]:
         ridge_phi = float(line.split(",")[2])
         assert 0.0 <= ridge_phi < 0.5
+
+    # Format oracle: each surface rendered one csv.writer row per defined
+    # cell, also on a grid whose labels need all nine digits
+    _check_ridge_surfaces(tmp_path, 2.0, 20.0, 3, 40, (20, 40, 75))
+    grid_dir = tmp_path / "grid"
+    rc = main(["ridge", "--fq-min-ghz", "1", "--fq-max-ghz", "25", "--fq-points", "8",
+               "--phi-points", "33", "--temps", "0,40", "--outdir", str(grid_dir)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    _check_ridge_surfaces(grid_dir, 1.0, 25.0, 8, 33, (0, 40))
+
+
+def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points, temps_mk):
+    f_values = np.linspace(fq_min_ghz, fq_max_ghz, fq_points) * 1e9
+    phi_values = np.linspace(0.0, 0.4999, phi_points, endpoint=False)
+    scan = ridge_scan(SensorDesign(), f_values, phi_values, np.array(temps_mk) * 1e-3)
+    for t, surface in zip(temps_mk, scan.surface):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(("fq_max_ghz", "phi", "sensitivity_per_phi0"))
+        for (i, j), value in np.ndenumerate(surface):
+            if not np.isnan(value):
+                writer.writerow((f"{f_values[i] / 1e9:.9g}", f"{phi_values[j]:.9g}",
+                                 f"{value:.9g}"))
+        assert (outdir / f"ridge_surface_{t}mk.csv").read_bytes() == buf.getvalue().encode()
 
 
 TINY_PEA_CFG = (

@@ -22,7 +22,7 @@ from fluxsense.optimizer import (
     sensitivity_array,
     step_budget,
 )
-from fluxsense.qubit import OPERATIONAL_PHI_MAX, spectrum_derivatives
+from fluxsense.qubit import OPERATIONAL_PHI_MAX, _visibility, spectrum_derivatives
 
 DESIGN = SensorDesign()
 BIAS = FluxBias(0.442)
@@ -308,3 +308,49 @@ def test_ridge_scan_masks_unreachable_flux():
     unreachable = (f_q <= 0) | (phis >= OPERATIONAL_PHI_MAX)
     for surface in scan.surface:
         np.testing.assert_array_equal(np.isnan(surface), unreachable)
+
+
+def test_ridge_scan_matches_per_design_oracle():
+    # The one broadcast [T, F, Phi] kernel call against one call per design
+    temps = [0.0, 0.02, 0.04, 0.075, 0.1]
+    f_values = np.linspace(1e9, 25e9, 17)
+    phis = np.append(np.linspace(0.0, OPERATIONAL_PHI_MAX, 150),
+                     [OPERATIONAL_PHI_MAX - 1e-12, 0.49995])
+    scan = ridge_scan(DESIGN, f_values, phis, temps)
+
+    oracle = np.array([
+        [sensitivity_array(dataclasses.replace(DESIGN, f_q_max=f, temperature=t), phis)
+         for f in f_values]
+        for t in temps
+    ])
+    assert np.isnan(oracle[:, 0, phis < OPERATIONAL_PHI_MAX]).any()  # f_q <= 0 is covered
+    assert np.array_equal(scan.surface, oracle, equal_nan=True)
+    best = np.array([[np.nanargmax(row) for row in rows] for rows in oracle])
+    assert np.array_equal(scan.ridge_phi, phis[best])
+    assert np.array_equal(scan.ridge_value,
+                          np.take_along_axis(oracle, best[..., None], axis=2)[..., 0],
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("f_values, temps", [
+    ([9e9, 0.5e9], [0.04]),
+    ([30e9, 9e9], [0.04]),
+    ([9e9, math.nan], [0.04]),
+    ([9e9], [0.04, -1e-3]),
+    ([9e9], [math.nan, 0.04]),
+])
+def test_ridge_scan_rejects_invalid_design_values(f_values, temps):
+    with pytest.raises(ValueError):
+        ridge_scan(DESIGN, f_values, [0.1, 0.2], temps)
+
+
+def test_visibility_array_matches_scalar():
+    f_q = np.array([-2e9, 0.0, 1e6, 5e9, 2e10])
+    temps = np.array([0.0, 1e-3, 0.04, 0.1, 1.0])
+    array = _visibility(f_q, temps[:, None])
+    assert array.shape == (temps.size, f_q.size)
+    for i, t in enumerate(temps):
+        for j, f in enumerate(f_q):
+            assert array[i, j] == _visibility(float(f), float(t))
+    assert np.all(array[0] == 1.0)
+    assert array[1, 3] == thermal_visibility(5e9, 1e-3)
