@@ -22,14 +22,12 @@ environment variable, else the working directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +37,6 @@ from .config import (
     ConfigError,
     ToolConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     parse_config,
 )
@@ -81,27 +78,13 @@ class RunManifest:
 
 
 def manifest_to_json(manifest: RunManifest) -> str:
-    payload = {
-        "subcommand": manifest.subcommand,
-        "tool_version": manifest.tool_version,
-        "master_seed": manifest.master_seed,
-        "config": config_to_dict(manifest.config),
-        "output_files": list(manifest.output_files),
-        "wall_seconds": manifest.wall_seconds,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(asdict(manifest), indent=2, sort_keys=True)
 
 
 def manifest_from_json(text: str) -> RunManifest:
     payload = json.loads(text)
-    return RunManifest(
-        subcommand=payload["subcommand"],
-        tool_version=payload["tool_version"],
-        master_seed=payload["master_seed"],
-        config=config_from_dict(payload["config"]),
-        output_files=tuple(payload["output_files"]),
-        wall_seconds=payload["wall_seconds"],
-    )
+    return RunManifest(**{**payload, "config": config_from_dict(payload["config"]),
+                          "output_files": tuple(payload["output_files"])})
 
 
 def _emit_error(kind: str, message: str, exit_code: int) -> None:
@@ -164,6 +147,7 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
     f_text = [f"{f / 1e9:.9g}," for f in f_values.tolist()]
     phi_text = [f"{phi:.9g}," for phi in phi_values.tolist()]
     paths = []
+    maxima = ["temperature_mk,fq_max_ghz,ridge_phi,ridge_sensitivity_per_phi0"]
     for t_index, t_mk in enumerate(temps_mk):
         surface = scan.surface[t_index]
         rows, cols = np.nonzero(~np.isnan(surface))
@@ -173,20 +157,11 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
         path = outdir / f"ridge_surface_{t_mk:g}mk.csv"
         _write_text(path, "\r\n".join(lines) + "\r\n")
         paths.append(path)
+        ridge = zip(f_text, scan.ridge_phi[t_index].tolist(), scan.ridge_value[t_index].tolist())
+        maxima += [f"{t_mk:.9g},{f}{phi:.9g},{value:.9g}" for f, phi, value in ridge]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("temperature_mk", "fq_max_ghz", "ridge_phi", "ridge_sensitivity_per_phi0"))
-    for t_index, t_mk in enumerate(temps_mk):
-        for i, f in enumerate(f_values):
-            writer.writerow((
-                f"{t_mk:.9g}",
-                f"{f / 1e9:.9g}",
-                f"{scan.ridge_phi[t_index, i]:.9g}",
-                f"{scan.ridge_value[t_index, i]:.9g}",
-            ))
     path = outdir / "ridge_maxima.csv"
-    _write_text(path, buf.getvalue())
+    _write_text(path, "\r\n".join(maxima) + "\r\n")
     paths.append(path)
     return paths
 

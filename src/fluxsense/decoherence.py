@@ -14,8 +14,6 @@ dividing by 1000 (no 2 pi).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +87,6 @@ def composite_rates(design: SensorDesign, bias: FluxBias) -> DecayRates:
     envelope_a = (sum of relaxation rates)/2 + exponential flux dephasing
     envelope_b = quadrature sum of the Gaussian dephasing rates
     """
-    _require_operational(bias.phi)
     return DecayRates(*(float(v) for v in channel_rates(design, bias.phi)))
 
 
@@ -129,9 +126,7 @@ def rates_table(design: SensorDesign, phi_values) -> str:
     phis = np.asarray(phi_values, dtype=float)
     _require_operational(phis)
     channels = channel_rates(design, phis)[:6]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RATES_TABLE_HEADER)
-    for row in zip(phis, *(c / 1e3 for c in channels)):
-        writer.writerow(f"{v:.9g}" for v in row)
-    return buf.getvalue()
+    lines = [",".join(RATES_TABLE_HEADER)]
+    lines += [",".join(f"{v:.9g}" for v in row)
+              for row in zip(phis.tolist(), *((c / 1e3).tolist() for c in channels))]
+    return "\r\n".join(lines) + "\r\n"

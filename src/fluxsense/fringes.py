@@ -40,9 +40,8 @@ _NORM_TOL = 1e-12
 class FringeEvaluator:
     """Fringe pattern of a sensor held at a fixed bias point.
 
-    The drive is resonant with the qubit at the bias point unless an
-    explicit ``drive_frequency`` (rad/s) is given.  External flux
-    offsets are measured relative to the bias point.  With
+    The drive is resonant with the qubit at the bias point.  External
+    flux offsets are measured relative to the bias point.  With
     ``decoherence_enabled`` false the envelope rates are forced to zero
     (thermal visibility still applies).
     """
@@ -50,7 +49,6 @@ class FringeEvaluator:
     design: SensorDesign
     bias_point: FluxBias
     n_qubits: int = 1
-    drive_frequency: float | None = None
     decoherence_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -59,8 +57,6 @@ class FringeEvaluator:
 
     @cached_property
     def omega_d(self) -> float:
-        if self.drive_frequency is not None:
-            return self.drive_frequency
         return float(_omega_q(self.design, self.bias_point.phi))
 
     @cached_property

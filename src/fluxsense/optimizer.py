@@ -24,7 +24,6 @@ from .qubit import (
     SensorDesign,
     _d_omega_d_phi,
     _f_q,
-    _require_operational,
     _visibility,
     spectrum_derivatives,
 )
@@ -114,7 +113,6 @@ def sensitivity(design: SensorDesign, bias: FluxBias, n_qubits: int = 1,
     Uses the optimal delay when ``tau`` is not given.  Raises
     ValueError where ``sensitivity_array`` is NaN.
     """
-    _require_operational(bias.phi)
     value = float(sensitivity_array(design, bias.phi, n_qubits, tau))
     if math.isnan(value):
         raise ValueError(f"sensitivity is undefined at phi = {bias.phi}: "

@@ -28,10 +28,9 @@ independent of execution order or worker count.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,22 +145,16 @@ class CandidateSet:
 def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> CandidateSet:
     """Uniform candidate grid over the sensor's unambiguous flux range.
 
-    For the standard grid sizes the spacing equals the N=1 range over
-    6144 for every N, which makes the N=2 and N=3 grids exact subsets
-    of the N=1 grid.
+    The N-qubit range is the N=1 range over N.  Every standard grid has
+    size * N = 6144, so all three share one spacing and the N=2 and N=3
+    grids are exact subsets of the N=1 grid.
     """
-    if config.grid_size is None:
-        size = GRID_SIZES[config.n_qubits]
-        spacing = dynamic_range(design, bias, config.tau_min, 1) / GRID_SIZES[1]
-    else:
-        size = config.grid_size
-        spacing = dynamic_range(design, bias, config.tau_min, config.n_qubits) / size
-    fluxes = spacing * np.arange(size)
-    return CandidateSet.uniform(fluxes, spacing)
+    size = config.resolved_grid_size
+    spacing = dynamic_range(design, bias, config.tau_min) / (size * config.n_qubits)
+    return CandidateSet.uniform(spacing * np.arange(size), spacing)
 
 
-def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator,
-                 config: PeaConfig) -> tuple[float, float]:
+def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator) -> tuple[float, float]:
     """Delay and measurement phase for the current candidate interval.
 
     The delay stretches one fringe half-period across the interval,
@@ -259,7 +252,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     m = len(candidates)
     if m < 2 or m % 2 != 0:
         raise ValueError("halving needs an even number of candidates, at least 2")
-    tau, theta = choose_delay(candidates, evaluator, config)
+    tau, theta = choose_delay(candidates, evaluator)
     probs = evaluator.probability_excited(candidates.fluxes, tau, theta)
     p_true = float(evaluator.probability_excited(true_flux, tau, theta))
 
@@ -348,32 +341,23 @@ def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
                rng: np.random.Generator, record_steps: bool = False) -> RunResult:
     """One full estimation of one target flux."""
     candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
-    delays = np.empty(config.n_steps)
-    counts = np.empty(config.n_steps, dtype=int)
-    estimates = np.empty(config.n_steps)
-    caps = np.zeros(config.n_steps, dtype=bool)
-    retained = np.zeros(config.n_steps, dtype=bool)
-    records: list[StepRecord] = []
-    for step in range(config.n_steps):
-        rec = run_step(candidates, true_flux, evaluator, config, rng,
-                       record_readouts=record_steps)
-        candidates = rec.survivors
-        delays[step] = rec.tau
-        counts[step] = rec.n_measurements
-        estimates[step] = candidates.posterior_mean()
-        caps[step] = rec.cap_hit
-        gap = np.abs(candidates.fluxes - true_flux).min()
-        retained[step] = gap <= 0.5 * candidates.spacing
-        if record_steps:
-            records.append(rec)
+    records = []
+    for _ in range(config.n_steps):
+        records.append(run_step(candidates, true_flux, evaluator, config, rng,
+                                record_readouts=record_steps))
+        candidates = records[-1].survivors
+    survivors = [rec.survivors for rec in records]
+    delays = np.array([rec.tau for rec in records])
+    counts = np.array([rec.n_measurements for rec in records])
     return RunResult(
         true_flux=true_flux,
         delays=delays,
         counts=counts,
-        estimates=estimates,
+        estimates=np.array([s.posterior_mean() for s in survivors]),
         cumulative_time=np.cumsum(delays * counts),
-        cap_hits=caps,
-        retained=retained,
+        cap_hits=np.array([rec.cap_hit for rec in records]),
+        retained=np.array([np.abs(s.fluxes - true_flux).min() <= 0.5 * s.spacing
+                           for s in survivors]),
         steps=tuple(records) if record_steps else None,
     )
 
@@ -396,9 +380,8 @@ _MARGIN_TIGHT = 1.0 / 12.0
 _MARGIN_KNEE = 256
 
 
-def _centre_avoiding_indices(n_targets: int, n_steps: int) -> np.ndarray:
-    """n_targets target-grid indices spread evenly over those at least a
-    margin away from every interval centre."""
+def _centre_clear_indices(n_steps: int) -> np.ndarray:
+    """Target-grid indices at least a margin away from every interval centre."""
     index = np.arange(TARGET_GRID_SIZE)
     clear = np.ones(TARGET_GRID_SIZE, dtype=bool)
     for size in GRID_SIZES.values():
@@ -408,42 +391,34 @@ def _centre_avoiding_indices(n_targets: int, n_steps: int) -> np.ndarray:
                 break
             margin = _MARGIN_WIDE if interval >= _MARGIN_KNEE else _MARGIN_TIGHT
             clear &= np.abs(index % interval - interval / 2.0) >= interval * margin
-    clear_indices = np.flatnonzero(clear)
-    if clear_indices.size < n_targets:
-        raise ValueError("not enough centre-clear grid indices for the requested targets")
-    return clear_indices[((2 * np.arange(n_targets) + 1) * clear_indices.size) // (2 * n_targets)]
+    return np.flatnonzero(clear)
 
 
 def campaign_targets(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> np.ndarray:
     """Target fluxes: a thinning of the N=3 candidate grid.
 
     Every sensor can represent these targets exactly because the three
-    standard grids share their spacing. The full-scale campaign takes
-    every 8th grid point; smaller campaigns thin the centre-clear index
-    set evenly (see _centre_avoiding_indices).
+    standard grids share their spacing.  Campaigns with a target on at
+    least every 8th grid point, or with more targets than centre-clear
+    indices, take every stride-th grid point; the others thin the
+    centre-clear index set evenly (see _centre_clear_indices).
     """
-    base = PeaConfig(
-        n_qubits=3,
-        tau_min=config.tau_min,
-        n_flux_targets=config.n_flux_targets,
-        n_repetitions=config.n_repetitions,
-        master_seed=config.master_seed,
-    )
-    grid = build_flux_grid(design, bias, base)
-    stride = TARGET_GRID_SIZE // config.n_flux_targets
-    if stride <= _FULL_CAMPAIGN_STRIDE:
-        offset = min(_FULL_CAMPAIGN_OFFSET, stride - 1)
-        indices = np.arange(offset, TARGET_GRID_SIZE, stride)
+    n = config.n_flux_targets
+    stride = TARGET_GRID_SIZE // n
+    clear = _centre_clear_indices(config.n_steps)
+    if stride > _FULL_CAMPAIGN_STRIDE and clear.size >= n:
+        indices = clear[((2 * np.arange(n) + 1) * clear.size) // (2 * n)]
     else:
-        indices = _centre_avoiding_indices(config.n_flux_targets, config.n_steps)
-    return grid.fluxes[indices].copy()
+        indices = np.arange(min(_FULL_CAMPAIGN_OFFSET, stride - 1), TARGET_GRID_SIZE, stride)
+    spacing = dynamic_range(design, bias, config.tau_min) / GRID_SIZES[1]
+    return spacing * indices
 
 
-def _campaign_worker(args) -> tuple[int, int, RunResult]:
+def _campaign_worker(args) -> RunResult:
     design, bias, config, target, j, k = args
     evaluator = FringeEvaluator(design, bias, n_qubits=config.n_qubits,
                                 decoherence_enabled=config.decoherence_enabled)
-    return j, k, run_single(target, evaluator, config, _pair_rng(config.master_seed, j, k))
+    return run_single(target, evaluator, config, _pair_rng(config.master_seed, j, k))
 
 
 @dataclass(frozen=True)
@@ -479,84 +454,62 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
     """
     targets = campaign_targets(design, bias, config)
     f, m, steps = config.n_flux_targets, config.n_repetitions, config.n_steps
-    delays = np.empty((f, m, steps))
-    counts = np.empty((f, m, steps), dtype=int)
-    estimates = np.empty((f, m, steps))
-    cumulative = np.empty((f, m, steps))
-    caps = np.zeros((f, m, steps), dtype=bool)
-    retained = np.zeros((f, m, steps), dtype=bool)
-
     jobs = [(design, bias, config, float(targets[j]), j, k)
             for j in range(f) for k in range(m)]
+    # Both maps keep job order, which is [target, repetition] order.
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = pool.map(_campaign_worker, jobs, chunksize=8)
+            runs = list(pool.map(_campaign_worker, jobs, chunksize=8))
     else:
-        outcomes = map(_campaign_worker, jobs)
-    for j, k, run in outcomes:
-        delays[j, k] = run.delays
-        counts[j, k] = run.counts
-        estimates[j, k] = run.estimates
-        cumulative[j, k] = run.cumulative_time
-        caps[j, k] = run.cap_hits
-        retained[j, k] = run.retained
+        runs = list(map(_campaign_worker, jobs))
+    traces = {name: np.array([getattr(run, name) for run in runs]).reshape(f, m, steps)
+              for name in ("delays", "counts", "estimates", "cumulative_time",
+                           "cap_hits", "retained")}
 
-    errors = estimates - targets[:, None, None]
+    errors = traces["estimates"] - targets[:, None, None]
     per_target_var = (errors**2).sum(axis=1) / (m - 1)   # [target, step]
-    accuracy = np.sqrt(per_target_var.mean(axis=0))
     return CampaignResult(
         config=config,
         targets=targets,
-        delays=delays,
-        counts=counts,
-        estimates=estimates,
-        cumulative_time=cumulative,
-        cap_hits=caps,
-        retained=retained,
-        tau_bar=cumulative.mean(axis=(0, 1)),
-        accuracy=accuracy,
-        mean_counts=counts.mean(axis=(0, 1)),
-        mean_delays=delays.mean(axis=(0, 1)),
+        **traces,
+        tau_bar=traces["cumulative_time"].mean(axis=(0, 1)),
+        accuracy=np.sqrt(per_target_var.mean(axis=0)),
+        mean_counts=traces["counts"].mean(axis=(0, 1)),
+        mean_delays=traces["delays"].mean(axis=(0, 1)),
     )
 
 
 def aggregate_report(result: CampaignResult) -> str:
     """Per-step campaign summary as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("step", "tau_bar_s", "accuracy_phi0", "mean_measurements", "mean_delay_s",
-                     "cap_hit_frac", "truth_retained_frac"))
-    cap_hit_frac = result.cap_hits.mean(axis=(0, 1))
-    retained_frac = result.retained.mean(axis=(0, 1))
-    for i in range(result.config.n_steps):
-        writer.writerow((
-            i + 1,
-            f"{result.tau_bar[i]:.9g}",
-            f"{result.accuracy[i]:.9g}",
-            f"{result.mean_counts[i]:.9g}",
-            f"{result.mean_delays[i]:.9g}",
-            f"{cap_hit_frac[i]:.9g}",
-            f"{retained_frac[i]:.9g}",
-        ))
-    return buf.getvalue()
+    columns = zip(
+        range(1, result.config.n_steps + 1),
+        result.tau_bar.tolist(),
+        result.accuracy.tolist(),
+        result.mean_counts.tolist(),
+        result.mean_delays.tolist(),
+        result.cap_hits.mean(axis=(0, 1)).tolist(),
+        result.retained.mean(axis=(0, 1)).tolist(),
+    )
+    lines = ["step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s,"
+             "cap_hit_frac,truth_retained_frac"]
+    lines += [f"{i},{tau:.9g},{acc:.9g},{n:.9g},{delay:.9g},{cap:.9g},{kept:.9g}"
+              for i, tau, acc, n, delay, cap, kept in columns]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def runs_report(result: CampaignResult) -> str:
     """Per-run, per-step detail as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("target_index", "repetition", "step", "tau_s", "n_measurements",
-                     "estimate_phi0", "cumulative_time_s", "cap_hit"))
     f, m, steps = result.delays.shape
-    for j in range(f):
-        for k in range(m):
-            for i in range(steps):
-                writer.writerow((
-                    j, k, i + 1,
-                    f"{result.delays[j, k, i]:.9g}",
-                    int(result.counts[j, k, i]),
-                    f"{result.estimates[j, k, i]:.9g}",
-                    f"{result.cumulative_time[j, k, i]:.9g}",
-                    int(result.cap_hits[j, k, i]),
-                ))
-    return buf.getvalue()
+    columns = zip(
+        itertools.product(range(f), range(m), range(1, steps + 1)),
+        result.delays.ravel().tolist(),
+        result.counts.ravel().tolist(),
+        result.estimates.ravel().tolist(),
+        result.cumulative_time.ravel().tolist(),
+        result.cap_hits.ravel().astype(int).tolist(),
+    )
+    lines = ["target_index,repetition,step,tau_s,n_measurements,"
+             "estimate_phi0,cumulative_time_s,cap_hit"]
+    lines += [f"{j},{k},{i},{tau:.9g},{n},{est:.9g},{t:.9g},{cap}"
+              for (j, k, i), tau, n, est, t, cap in columns]
+    return "\r\n".join(lines) + "\r\n"

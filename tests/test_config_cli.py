@@ -108,6 +108,7 @@ def test_pea_and_bias_keys():
     ("master_seed = -3\n", "line 1: master_seed"),
     ("feed_width_um = -5\n", "line 1: feed_width_um"),
     ("bias_phi = 0.7\n", "line 1: bias_phi"),
+    ("bias_phi = 0.4999\n", "line 1: bias_phi"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -206,6 +207,22 @@ def test_manifest_round_trip():
         wall_seconds=1.25,
     )
     assert manifest_from_json(manifest_to_json(manifest)) == manifest
+    assert manifest_to_json(manifest) == _manifest_oracle(
+        "rates", "0.1.0", 42, parse_config("n_qubits = 2\n"), ["a.csv", "b.json"], 1.25)
+
+
+def _manifest_oracle(subcommand, tool_version, master_seed, config, output_files,
+                     wall_seconds):
+    """Manifest text rendered field by field."""
+    payload = {
+        "subcommand": subcommand,
+        "tool_version": tool_version,
+        "master_seed": master_seed,
+        "config": config_to_dict(config),
+        "output_files": list(output_files),
+        "wall_seconds": wall_seconds,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_cli_rates_matches_library_table(tmp_path, capsys):
@@ -220,12 +237,16 @@ def test_cli_rates_manifest(tmp_path, capsys):
     assert main(["rates", "--manifest", "--outdir", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == str(tmp_path / "rates_manifest.json")
-    manifest = manifest_from_json((tmp_path / "rates_manifest.json").read_text())
+    text = (tmp_path / "rates_manifest.json").read_text()
+    manifest = manifest_from_json(text)
     assert manifest.subcommand == "rates"
     assert manifest.master_seed == 20240917
     assert manifest.config == parse_config("")
     assert manifest.output_files == (str(tmp_path / "rates.csv"),)
     assert manifest.wall_seconds >= 0.0
+    assert text == _manifest_oracle("rates", cli.__version__, 20240917, parse_config(""),
+                                    [str(tmp_path / "rates.csv")],
+                                    manifest.wall_seconds) + "\n"
 
 
 def test_cli_config_error(tmp_path, capsys):
@@ -234,6 +255,15 @@ def test_cli_config_error(tmp_path, capsys):
     rc = main(["rates", "--config", str(bad), "--outdir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert _stderr_error(capsys)["type"] == "config"
+    # a bias past the operational range is rejected where it is read
+    edge = tmp_path / "edge.cfg"
+    edge.write_text("bias_phi = 0.4999\n", encoding="utf-8")
+    for subcommand in ("calibration", "pea"):
+        rc = main([subcommand, "--config", str(edge), "--outdir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        error = _stderr_error(capsys)
+        assert error["type"] == "config"
+        assert "line 1: bias_phi" in error["message"]
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -362,15 +392,15 @@ def test_cli_ridge(tmp_path, capsys):
         ridge_phi = float(line.split(",")[2])
         assert 0.0 <= ridge_phi < 0.5
 
-    # Format oracle: each surface rendered one csv.writer row per defined
-    # cell, also on a grid whose labels need all nine digits
+    # Format oracle: each surface and the maxima rendered one csv.writer row
+    # per line, also on a grid whose labels need all nine digits
     _check_ridge_surfaces(tmp_path, 2.0, 20.0, 3, 40, (20, 40, 75))
     grid_dir = tmp_path / "grid"
     rc = main(["ridge", "--fq-min-ghz", "1", "--fq-max-ghz", "25", "--fq-points", "8",
-               "--phi-points", "33", "--temps", "0,40", "--outdir", str(grid_dir)])
+               "--phi-points", "33", "--temps", "0,40,12.3456789", "--outdir", str(grid_dir)])
     assert rc == EXIT_OK
     capsys.readouterr()
-    _check_ridge_surfaces(grid_dir, 1.0, 25.0, 8, 33, (0, 40))
+    _check_ridge_surfaces(grid_dir, 1.0, 25.0, 8, 33, (0, 40, 12.3456789))
 
 
 def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points, temps_mk):
@@ -385,7 +415,16 @@ def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points,
             if not np.isnan(value):
                 writer.writerow((f"{f_values[i] / 1e9:.9g}", f"{phi_values[j]:.9g}",
                                  f"{value:.9g}"))
-        assert (outdir / f"ridge_surface_{t}mk.csv").read_bytes() == buf.getvalue().encode()
+        assert (outdir / f"ridge_surface_{t:g}mk.csv").read_bytes() == buf.getvalue().encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("temperature_mk", "fq_max_ghz", "ridge_phi", "ridge_sensitivity_per_phi0"))
+    for t_index, t in enumerate(temps_mk):
+        for i, f in enumerate(f_values):
+            writer.writerow((f"{float(t):.9g}", f"{f / 1e9:.9g}",
+                             f"{scan.ridge_phi[t_index, i]:.9g}",
+                             f"{scan.ridge_value[t_index, i]:.9g}"))
+    assert (outdir / "ridge_maxima.csv").read_bytes() == buf.getvalue().encode()
 
 
 TINY_PEA_CFG = (

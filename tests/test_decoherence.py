@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from fluxsense import FluxBias, SensorDesign, coupling_g01, transition_frequency
 from fluxsense.decoherence import (
     RATES_TABLE_HEADER,
     capacitive_rate,
+    channel_rates,
     composite_rates,
     critical_current_dephasing_rate,
     flux_dephasing_rates,
@@ -160,3 +163,17 @@ def test_rates_table_edge_cases():
     assert rates_table(DESIGN, []).splitlines() == [",".join(RATES_TABLE_HEADER)]
     twice = rates_table(DESIGN, [0.2, 0.2]).splitlines()
     assert twice[1] == twice[2]
+
+
+def test_rates_table_matches_csv_writer_oracle():
+    # Byte oracle: one csv.writer row of .9g fields per flux point
+    phis = [0.0, 0.1, 0.2, 1 / 3, 0.442, 0.4998]
+    cold = dataclasses.replace(DESIGN, f_q_max=5.5e9, alpha_flux=3e-6)
+    for design in (DESIGN, cold):
+        channels = channel_rates(design, np.array(phis))[:6]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(RATES_TABLE_HEADER)
+        for i, phi in enumerate(phis):
+            writer.writerow([f"{phi:.9g}"] + [f"{c[i] / 1e3:.9g}" for c in channels])
+        assert rates_table(design, phis) == buf.getvalue()

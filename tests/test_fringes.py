@@ -90,8 +90,6 @@ def test_envelope_monotone_and_n_scaling():
 def test_detuning_zero_at_bias_point():
     ev = FringeEvaluator(DESIGN, BIAS, n_qubits=1)
     assert float(ev.detuning(0.0)) == 0.0
-    custom = FringeEvaluator(DESIGN, BIAS, n_qubits=1, drive_frequency=1e9)
-    assert float(custom.detuning(0.0)) != 0.0
 
 
 def test_domain_errors():

@@ -1,3 +1,7 @@
+import csv
+import io
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,9 @@ BIAS = FluxBias(0.442)
 
 TINY_CAMPAIGN = PeaConfig(n_qubits=3, grid_size=64, n_steps=6, n_flux_targets=4,
                           n_repetitions=2, decoherence_enabled=False)
+# Decohered, with a cap low enough that some runs hit it at some steps.
+CAPPED_CAMPAIGN = PeaConfig(n_qubits=3, grid_size=64, n_steps=6, n_flux_targets=4,
+                            n_repetitions=3, measurement_cap=200)
 
 
 def _evaluator(n_qubits, decohere=False):
@@ -176,7 +183,7 @@ def test_first_delay_matches_shortest_fringe():
     for n in (1, 2, 3):
         config = PeaConfig(n_qubits=n)
         grid = build_flux_grid(DESIGN, BIAS, config)
-        tau, _ = choose_delay(grid, _evaluator(n), config)
+        tau, _ = choose_delay(grid, _evaluator(n))
         assert abs(tau / config.tau_min - 1.0) < 2e-3
 
 
@@ -194,7 +201,7 @@ def test_phase_centres_fringe_on_interval():
         config = PeaConfig(n_qubits=n)
         grid = build_flux_grid(DESIGN, BIAS, config)
         evaluator = _evaluator(n, decohere)
-        tau, theta = choose_delay(grid, evaluator, config)
+        tau, theta = choose_delay(grid, evaluator)
         lo, hi = grid.interval
         p_mid = evaluator.probability_excited(0.5 * (lo + hi), tau, theta)
         assert p_mid == pytest.approx(0.5, abs=1e-9)
@@ -204,7 +211,7 @@ def test_choose_delay_zero_span():
     config = PeaConfig()
     degenerate = CandidateSet.uniform(np.zeros(2), 0.0)
     with pytest.raises(ArithmeticError):
-        choose_delay(degenerate, _evaluator(1), config)
+        choose_delay(degenerate, _evaluator(1))
 
 
 def test_delay_caps_at_optimum_under_decoherence():
@@ -212,7 +219,7 @@ def test_delay_caps_at_optimum_under_decoherence():
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(2, decohere=True)
     narrow = CandidateSet.uniform(grid.fluxes[:2], grid.spacing)
-    tau, _ = choose_delay(narrow, evaluator, config)
+    tau, _ = choose_delay(narrow, evaluator)
     a, b = evaluator.envelope_rates
     assert tau == optimal_delay(a, b, 2)
 
@@ -263,7 +270,7 @@ def test_target_at_interval_centre_never_caps():
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(1)
     centre = float(grid.fluxes[32])
-    tau, theta = choose_delay(grid, evaluator, config)
+    tau, theta = choose_delay(grid, evaluator)
     assert evaluator.probability_excited(centre, tau, theta) == pytest.approx(0.5, abs=1e-9)
     for child in np.random.SeedSequence(3232).spawn(200):
         result = run_single(centre, evaluator, config, np.random.default_rng(child))
@@ -443,6 +450,73 @@ def test_full_targets_take_every_eighth_point():
     targets = campaign_targets(DESIGN, BIAS, config)
     grid = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=3))
     assert np.array_equal(targets, grid.fluxes[5::8])
+
+
+def test_targets_for_every_valid_campaign_shape():
+    # Each target count PeaConfig accepts gets that many targets on the
+    # shared grid, also where fewer indices clear every interval centre
+    spacing = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=3)).spacing
+    shapes = itertools.product(GRID_SIZES, [1 << p for p in range(12)], range(1, 13))
+    checked = 0
+    for n_qubits, n_targets, n_steps in shapes:
+        try:
+            config = PeaConfig(n_qubits=n_qubits, n_flux_targets=n_targets, n_steps=n_steps)
+        except ValueError:
+            continue
+        targets = campaign_targets(DESIGN, BIAS, config)
+        assert targets.shape == (n_targets,)
+        assert np.all(np.diff(targets) > 0)
+        indices = np.rint(targets / spacing)
+        assert np.allclose(indices * spacing, targets, rtol=0, atol=1e-9 * spacing)
+        assert indices[0] >= 0 and indices[-1] <= 2047
+        checked += 1
+    assert checked == 12 * (11 + 10 + 11)
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_campaign_stacks_runs_by_target_and_repetition():
+    config = CAPPED_CAMPAIGN
+    result = run_campaign(DESIGN, BIAS, config)
+    evaluator = _evaluator(3, decohere=True)
+    for j, k in np.ndindex(result.delays.shape[:2]):
+        rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, j, k)))
+        run = run_single(float(result.targets[j]), evaluator, config, rng)
+        for name in ("delays", "counts", "estimates", "cumulative_time", "cap_hits",
+                     "retained"):
+            assert np.array_equal(getattr(result, name)[j, k], getattr(run, name)), name
+
+
+def test_reports_match_csv_writer_oracle():
+    # Byte oracle: one csv.writer row of .9g fields per step and per run
+    result = run_campaign(DESIGN, BIAS, CAPPED_CAMPAIGN)
+    cap_frac = result.cap_hits.mean(axis=(0, 1))
+    retained_frac = result.retained.mean(axis=(0, 1))
+    assert np.any((cap_frac > 0) & (cap_frac < 1)) and not result.cap_hits.all()
+    steps = [
+        (i + 1, *(f"{column[i]:.9g}" for column in (
+            result.tau_bar, result.accuracy, result.mean_counts, result.mean_delays,
+            cap_frac, retained_frac)))
+        for i in range(CAPPED_CAMPAIGN.n_steps)
+    ]
+    assert aggregate_report(result) == _csv_writer_text(
+        ("step", "tau_bar_s", "accuracy_phi0", "mean_measurements", "mean_delay_s",
+         "cap_hit_frac", "truth_retained_frac"), steps)
+    runs = [
+        (j, k, i + 1, f"{result.delays[j, k, i]:.9g}", int(result.counts[j, k, i]),
+         f"{result.estimates[j, k, i]:.9g}", f"{result.cumulative_time[j, k, i]:.9g}",
+         int(result.cap_hits[j, k, i]))
+        for j, k, i in np.ndindex(result.delays.shape)
+    ]
+    assert runs_report(result) == _csv_writer_text(
+        ("target_index", "repetition", "step", "tau_s", "n_measurements",
+         "estimate_phi0", "cumulative_time_s", "cap_hit"), runs)
 
 
 def test_report_formats():

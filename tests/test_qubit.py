@@ -44,6 +44,8 @@ def test_flux_bias_domain():
         FluxBias(-1e-9)
     with pytest.raises(FluxDomainError):
         FluxBias(0.5)
+    with pytest.raises(FluxDomainError):  # past the operational range
+        FluxBias(0.4999)
 
 
 def test_design_validation():
