@@ -14,6 +14,12 @@ scaling) until decoherence caps the useful delay.
 
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
+On wide grids a cheap screen picks the rows of a block that may decide:
+any window of half the candidates lies inside a run of 33 of 64 equal
+blocks of candidates, and no weight is negative, so a row whose
+heaviest run of blocks holds less than 1 - epsilon of its mass cannot
+decide.  The exact window test runs only on the rows that pass, so the
+deciding readout and the kept window are the same as without it.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -226,6 +232,14 @@ _BLOCK_NATS = 600.0
 # From this many candidates on, one numpy product per readout row beats
 # numpy's running product down the rows, which costs ~6 ns a cell.
 _ROW_PRODUCT_MIN = 256
+# Window screen (see run_step): blocks a row splits into, the blocks a
+# run needs to hold any window of half the row, and a relative slack far
+# above the rounding of the sums (~m * 2^-53 of the row's mass).  Below
+# _SCREEN_MIN candidates the block sums cost about what they save.
+_SCREEN_BLOCKS = 64
+_SCREEN_RUN = _SCREEN_BLOCKS // 2 + 1
+_SCREEN_SLACK = 1e-9
+_SCREEN_MIN = 1024
 
 
 def _level_likelihoods(x: np.ndarray, config: PeaConfig):
@@ -235,6 +249,42 @@ def _level_likelihoods(x: np.ndarray, config: PeaConfig):
     ll0 = -0.5 * (x / config.sigma0) ** 2 - np.log(config.sigma0)
     top = np.maximum(ll1, ll0)
     return np.exp(ll1 - top), np.exp(ll0 - top), np.abs(ll1 - ll0), np.exp(top)
+
+
+def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
+                 above: np.ndarray):
+    """The exact window test of each row of ``posterior``.
+
+    Returns whether the heaviest window of half the candidates holds
+    1 - epsilon of the row's mass, the mass outside each window
+    [s, s + half) for s = 0..half, and the row's mass.  ``below`` and
+    ``above`` are [rows, half + 1] buffers whose first column is zero.
+    """
+    k, half = len(posterior), posterior.shape[1] // 2
+    # Mass below the window from the lower half of the candidates, mass
+    # above it from the upper half.
+    below, above = below[:k], above[:k]
+    np.cumsum(posterior[:, :half], axis=1, out=below[:, 1:])
+    np.cumsum(posterior[:, :half - 1:-1], axis=1, out=above[:, 1:])
+    outside = below + above[:, ::-1]
+    total = below[:, half] + above[:, half]
+    return outside.min(axis=1) <= epsilon * total, outside, total
+
+
+def _window_screen(posterior: np.ndarray, epsilon: float, runs: np.ndarray):
+    """Rows of ``posterior`` that the exact window test may accept, and their mass.
+
+    A row passes when its heaviest run of _SCREEN_RUN consecutive block
+    sums holds (1 - _SCREEN_SLACK)(1 - epsilon) of its mass.  ``runs``
+    is a [rows, _SCREEN_BLOCKS + 1] buffer whose first column is zero.
+    """
+    k = len(posterior)
+    runs = runs[:k]
+    blocks = posterior.reshape(k, _SCREEN_BLOCKS, -1).sum(axis=2)
+    np.cumsum(blocks, axis=1, out=runs[:, 1:])
+    total = runs[:, _SCREEN_BLOCKS]
+    heaviest = (runs[:, _SCREEN_RUN:] - runs[:, :-_SCREEN_RUN]).max(axis=1)
+    return heaviest >= (1.0 - _SCREEN_SLACK) * (1.0 - epsilon) * total, total
 
 
 def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvaluator,
@@ -248,6 +298,15 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     Readouts come in blocks of k, and one [k, m] array holds the
     posterior after every readout of the block.  Hitting the measurement
     cap is recorded, not fatal.
+
+    The exact window test takes two prefix sums over every row it sees.
+    When m is at least _SCREEN_MIN and splits into _SCREEN_BLOCKS equal
+    blocks, it sees only the rows whose heaviest run of _SCREEN_RUN
+    consecutive block sums holds (1 - _SCREEN_SLACK)(1 - epsilon) of the
+    row's mass.  Every window of m/2 candidates lies inside such a run
+    and no cell is negative, so the rows screened out cannot decide (the
+    slack covers the rounding of the sums); the block sums also give
+    each row's mass.
     """
     m = len(candidates)
     if m < 2 or m % 2 != 0:
@@ -258,8 +317,10 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
 
     half = m // 2
     cap = config.measurement_cap
+    epsilon = config.epsilon
     limit = max(1, _BLOCK_CELLS // m)
     size = min(_FIRST_BLOCK, limit)
+    screened = m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0
     # Block buffers, allocated once per step and sliced to k rows per
     # block: fresh [k, m] arrays on every block cost heap trimming and
     # page faults.
@@ -268,6 +329,8 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     below_buf = np.empty((rows, half + 1))
     above_buf = np.empty((rows, half + 1))
     below_buf[:, 0] = above_buf[:, 0] = 0.0
+    if screened:
+        runs_buf = np.zeros((rows, _SCREEN_BLOCKS + 1))
     weights = candidates.weights
     readouts: list[float] = []
     n = 0
@@ -285,17 +348,20 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
                 np.multiply(posterior[row], posterior[row - 1], out=posterior[row])
         else:
             np.cumprod(posterior, axis=0, out=posterior)
-        # Mass below window [s, s + half) from the lower half of the
-        # candidates, mass above it from the upper half, for s = 0..half.
-        below, above = below_buf[:k], above_buf[:k]
-        np.cumsum(posterior[:, :half], axis=1, out=below[:, 1:])
-        np.cumsum(posterior[:, :half - 1:-1], axis=1, out=above[:, 1:])
-        outside = below + above[:, ::-1]
-        total = below[:, half] + above[:, half]
-        # The unscaled evidence of each readout, as posterior_update sums it.
-        evidence = scale[:k] * total / np.concatenate(([weights.sum()], total[:-1]))
+        if screened:
+            # The exact test runs only on the rows the screen passes.
+            decided = np.zeros(k, dtype=bool)
+            passed, total = _window_screen(posterior, epsilon, runs_buf)
+            tested = np.flatnonzero(passed)
+            if tested.size:
+                decided[tested] = _window_test(posterior[tested], epsilon,
+                                               below_buf, above_buf)[0]
+        else:
+            decided, _, total = _window_test(posterior, epsilon, below_buf, above_buf)
+        # The unscaled evidence of each readout, as posterior_update sums
+        # it; weights enter normalized, so the first row divides by 1.
+        evidence = scale[:k] * total / np.concatenate(([1.0], total[:-1]))
         degenerate = ~(np.isfinite(evidence) & (evidence > 0.0))
-        decided = outside.min(axis=1) <= config.epsilon * total
         stops = np.flatnonzero(decided | degenerate)
         r = int(stops[0]) if stops.size else k - 1
         if degenerate[r]:
@@ -309,7 +375,9 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
             break
         weights = posterior[r] / total[r]
 
-    start = int(np.argmin(outside[r]))
+    # The step's last row may be one the screen never let through.
+    _, outside, _ = _window_test(posterior[r:r + 1], epsilon, below_buf, above_buf)
+    start = int(np.argmin(outside[0]))
     kept = posterior[r, start:start + half]
     survivors = CandidateSet(candidates.fluxes[start:start + half], kept / kept.sum(),
                              candidates.spacing)

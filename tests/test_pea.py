@@ -27,6 +27,7 @@ from fluxsense import (
     runs_report,
     sample_measurements,
 )
+from fluxsense import pea
 
 DESIGN = SensorDesign()
 BIAS = FluxBias(0.442)
@@ -322,9 +323,11 @@ def _level_span_nats(readouts, config):
     (3, True, 1.0, 64, 10_000, 6),
     (3, False, 1.0, 16, 10_000, 7),
     (2, True, 1.0, 64, 100, 8),      # the cap ends the second block early
+    (1, False, 1.0, None, 40, 9),    # screened grids: a block ends at the cap on an untested row
+    (1, False, 1.0, 3000, 10_000, 10),  # wide but not in 64 blocks: the exact test on every row
 ])
 def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size, cap, seed):
-    n_steps = {None: 9, 16: 4, 64: 6}[grid_size]
+    n_steps = {None: 9, 16: 4, 64: 6, 3000: 3}[grid_size]
     config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, grid_size=grid_size,
                        n_steps=n_steps, measurement_cap=cap, decoherence_enabled=decohere)
     evaluator = _evaluator(n_qubits, decohere)
@@ -361,6 +364,96 @@ def test_run_step_degenerate_readout(monkeypatch):
     with pytest.raises(DegenerateLikelihoodError):
         run_step(grid, float(grid.fluxes[4]), _evaluator(1), config,
                  np.random.default_rng(0))
+
+
+def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
+    # the screen spares most rows the window test, never the degeneracy
+    # check: the readout that underflows in the sequential update raises
+    config = PeaConfig(n_qubits=1, decoherence_enabled=False)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    assert len(grid) >= pea._SCREEN_MIN and len(grid) % pea._SCREEN_BLOCKS == 0
+    evaluator = _evaluator(1)
+    values = [0.3, 0.8, 0.1, 0.9, 0.2, 0.7, 0.6, 40.0] + [0.5] * 60
+    probs = evaluator.probability_excited(grid.fluxes, *choose_delay(grid, evaluator))
+    weights = grid.weights
+    for x in values[:7]:
+        weights = posterior_update(weights, probs, x, config)
+        assert not _window_test(weights, len(grid) // 2, config.epsilon)[0]
+    with pytest.raises(DegenerateLikelihoodError):
+        posterior_update(weights, probs, values[7], config)
+    stream = iter(values)
+    drawn = []
+
+    def sample(p, k, config, rng):
+        drawn.extend(itertools.islice(stream, k))
+        return np.array(drawn[-k:])
+
+    monkeypatch.setattr("fluxsense.pea.sample_measurements", sample)
+    with pytest.raises(DegenerateLikelihoodError):
+        run_step(grid, float(grid.fluxes[4]), evaluator, config, np.random.default_rng(0))
+    # blocks of 5 readouts at 6144 candidates: it raised in the second
+    assert len(drawn) == 10
+
+
+def _screen_and_exact(rows, epsilon):
+    """The screen's verdict and the exact window test's, for each row."""
+    k, half = rows.shape[0], rows.shape[1] // 2
+    below, above = np.zeros((k, half + 1)), np.zeros((k, half + 1))
+    runs = np.zeros((k, pea._SCREEN_BLOCKS + 1))
+    passed, total = pea._window_screen(rows, epsilon, runs)
+    decided, _, exact_total = pea._window_test(rows, epsilon, below, above)
+    assert total == pytest.approx(exact_total, rel=1e-12)
+    return passed, decided
+
+
+def _deciding_at_threshold(inside, outside, epsilon):
+    """inside + c * outside with the largest c that the exact window test accepts.
+
+    ``inside`` holds each row's heaviest window, ``outside`` the rest, both
+    normalised; the rows decide at 1 - epsilon to the last bit.
+    """
+    lo = np.zeros((len(inside), 1))
+    hi = np.full_like(lo, 2.0 * epsilon / (1.0 - epsilon))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        _, decided = _screen_and_exact(inside + mid * outside, epsilon)
+        lo = np.where(decided[:, None], mid, lo)
+        hi = np.where(decided[:, None], hi, mid)
+    return inside + lo * outside
+
+
+@pytest.mark.parametrize("m", [2048, 3072, 6144])
+@pytest.mark.parametrize("epsilon", [1e-4, 0.25])
+def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
+    rng = np.random.default_rng(m)
+    half, width = m // 2, m // pea._SCREEN_BLOCKS
+    cells = np.arange(m)
+    edges = (cells % width == 0) | (cells % width == width - 1)
+    inside, outside = [], []
+    # heaviest windows on, next to and between block edges, and at the ends
+    for s in (0, 1, width - 1, width, width + 1, width // 2, half - 1, half,
+              int(rng.integers(half + 1))):
+        window = (cells >= s) & (cells < s + half)
+        # outside mass more than a block from the window: a window on block
+        # edges then holds all of its heaviest run of blocks
+        far = (cells < s - width) | (cells >= s + half + width)
+        ends = np.zeros(m)
+        ends[[s, s + half - 1]] = 1.0
+        for profile in (ends, window * 1.0, window * edges, window * rng.random(m)):
+            for rest in (~window * 1.0, ~window * edges, ~window * rng.random(m), far * 1.0):
+                if rest.sum() > 0:
+                    inside.append(profile / profile.sum())
+                    outside.append(rest / rest.sum())
+    at_threshold = _deciding_at_threshold(np.array(inside), np.array(outside), epsilon)
+    centres = rng.uniform(0, m, 24)[:, None]
+    widths = rng.choice([m / 60, m / 30, m / 12, m / 6], 24)[:, None]
+    bumps = np.exp(-0.5 * ((cells - centres) / widths) ** 2)
+    spiky = rng.random((24, m)) ** rng.integers(1, 400, (24, 1))
+    rows = np.vstack([at_threshold, bumps, spiky, np.ones((1, m))])
+    passed, decided = _screen_and_exact(rows, epsilon)
+    assert decided[:len(at_threshold)].all()
+    assert not passed[-1], "a flat row passed the screen"
+    assert passed[decided].all(), "the screen rejected a deciding row"
 
 
 def test_run_step_two_candidates():
