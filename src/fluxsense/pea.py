@@ -169,14 +169,15 @@ def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator) -> tuple[
     """
     lo, hi = candidates.interval
     n = evaluator.n_qubits
-    span = abs(evaluator.detuning(hi) - evaluator.detuning(lo))
+    d_lo, d_hi, d_mid = evaluator.detuning([lo, hi, 0.5 * (lo + hi)])
+    span = abs(d_hi - d_lo)
     if span == 0:
         raise ArithmeticError("candidate interval has no detuning span")
     tau = np.pi / (n * span)
     if evaluator.decoherence_enabled:
         a, b = evaluator.envelope_rates
         tau = min(tau, optimal_delay(a, b, n))
-    theta = np.pi / 2 - n * float(evaluator.detuning(0.5 * (lo + hi))) * tau
+    theta = np.pi / 2 - n * float(d_mid) * tau
     return float(tau), float(theta)
 
 
@@ -258,16 +259,18 @@ def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     Returns whether the heaviest window of half the candidates holds
     1 - epsilon of the row's mass, the mass outside each window
     [s, s + half) for s = 0..half, and the row's mass.  ``below`` and
-    ``above`` are [rows, half + 1] buffers whose first column is zero.
+    ``above`` are [rows, half + 1] buffers; the mass outside the windows
+    is written over ``below``.
     """
     k, half = len(posterior), posterior.shape[1] // 2
     # Mass below the window from the lower half of the candidates, mass
     # above it from the upper half.
     below, above = below[:k], above[:k]
+    below[:, 0] = above[:, 0] = 0.0
     np.cumsum(posterior[:, :half], axis=1, out=below[:, 1:])
     np.cumsum(posterior[:, :half - 1:-1], axis=1, out=above[:, 1:])
-    outside = below + above[:, ::-1]
     total = below[:, half] + above[:, half]
+    outside = np.add(below, above[:, ::-1], out=below)
     return outside.min(axis=1) <= epsilon * total, outside, total
 
 
@@ -276,10 +279,11 @@ def _window_screen(posterior: np.ndarray, epsilon: float, runs: np.ndarray):
 
     A row passes when its heaviest run of _SCREEN_RUN consecutive block
     sums holds (1 - _SCREEN_SLACK)(1 - epsilon) of its mass.  ``runs``
-    is a [rows, _SCREEN_BLOCKS + 1] buffer whose first column is zero.
+    is a [rows, _SCREEN_BLOCKS + 1] buffer.
     """
     k = len(posterior)
     runs = runs[:k]
+    runs[:, 0] = 0.0
     blocks = posterior.reshape(k, _SCREEN_BLOCKS, -1).sum(axis=2)
     np.cumsum(blocks, axis=1, out=runs[:, 1:])
     total = runs[:, _SCREEN_BLOCKS]
@@ -287,9 +291,29 @@ def _window_screen(posterior: np.ndarray, epsilon: float, runs: np.ndarray):
     return heaviest >= (1.0 - _SCREEN_SLACK) * (1.0 - epsilon) * total, total
 
 
+def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
+    """Rows and columns of a step's block buffers over m candidates.
+
+    The buffers are the posterior, the window test's ``below`` and
+    ``above`` and, on grids the screen runs on, its ``runs``.
+    """
+    rows = min(max(1, _BLOCK_CELLS // m), cap)
+    columns = (m, m // 2 + 1, m // 2 + 1)
+    if m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0:
+        columns += (_SCREEN_BLOCKS + 1,)
+    return rows, columns
+
+
+def _workspace_cells(config: PeaConfig) -> int:
+    """Size of a workspace that holds the block buffers of every step of a run."""
+    m, cap = config.resolved_grid_size, config.measurement_cap
+    layouts = [_block_layout(m >> i, cap) for i in range(config.n_steps)]
+    return max(rows * sum(columns) for rows, columns in layouts)
+
+
 def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvaluator,
              config: PeaConfig, rng: np.random.Generator,
-             record_readouts: bool = False) -> StepRecord:
+             record_readouts: bool = False, workspace: np.ndarray | None = None) -> StepRecord:
     """Measure until a window of half the candidates holds 1 - epsilon of the mass.
 
     The contiguous window of m/2 candidates with the most posterior mass
@@ -307,6 +331,10 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     and no cell is negative, so the rows screened out cannot decide (the
     slack covers the rounding of the sums); the block sums also give
     each row's mass.
+
+    The block buffers are views of ``workspace``, a 1-D float64 array
+    (run_single sizes one with _workspace_cells) that the step writes
+    before it reads; without one the step allocates its own.
     """
     m = len(candidates)
     if m < 2 or m % 2 != 0:
@@ -318,19 +346,22 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     half = m // 2
     cap = config.measurement_cap
     epsilon = config.epsilon
-    limit = max(1, _BLOCK_CELLS // m)
-    size = min(_FIRST_BLOCK, limit)
-    screened = m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0
-    # Block buffers, allocated once per step and sliced to k rows per
-    # block: fresh [k, m] arrays on every block cost heap trimming and
-    # page faults.
-    rows = min(limit, cap)
-    posterior_buf = np.empty((rows, m))
-    below_buf = np.empty((rows, half + 1))
-    above_buf = np.empty((rows, half + 1))
-    below_buf[:, 0] = above_buf[:, 0] = 0.0
-    if screened:
-        runs_buf = np.zeros((rows, _SCREEN_BLOCKS + 1))
+    # Block buffers, sliced to k rows per block.  They live as long as
+    # the workspace, a whole run in run_single: fresh buffers on every
+    # step or block cost heap trimming and page faults.
+    rows, columns = _block_layout(m, cap)
+    cells = rows * sum(columns)
+    if workspace is None:
+        workspace = np.empty(cells)
+    elif workspace.size < cells:
+        raise ValueError(f"workspace holds {workspace.size} cells, "
+                         f"a step over {m} candidates needs {cells}")
+    buffers, offset = [], 0
+    for width in columns:
+        buffers.append(workspace[offset:offset + rows * width].reshape(rows, width))
+        offset += rows * width
+    posterior_buf, below_buf, above_buf, *screen_buf = buffers
+    size = min(_FIRST_BLOCK, rows)
     weights = candidates.weights
     readouts: list[float] = []
     n = 0
@@ -338,7 +369,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
         x = sample_measurements(p_true, min(size, cap - n), config, rng)
         a1, a0, span, scale = _level_likelihoods(x, config)
         k = max(1, int(np.searchsorted(np.cumsum(span), _BLOCK_NATS, side="right")))
-        size = min(2 * k, limit)
+        size = min(2 * k, rows)
         # posterior[r] = weights * prod over readouts 0..r of the scaled likelihoods
         posterior = np.multiply.outer(a1[:k] - a0[:k], probs, out=posterior_buf[:k])
         posterior += a0[:k, None]
@@ -348,14 +379,16 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
                 np.multiply(posterior[row], posterior[row - 1], out=posterior[row])
         else:
             np.cumprod(posterior, axis=0, out=posterior)
-        if screened:
-            # The exact test runs only on the rows the screen passes.
+        if screen_buf:
+            # The exact test runs on the rows from the first to the last
+            # that the screen passes, a view; only passed rows may decide.
             decided = np.zeros(k, dtype=bool)
-            passed, total = _window_screen(posterior, epsilon, runs_buf)
+            passed, total = _window_screen(posterior, epsilon, screen_buf[0])
             tested = np.flatnonzero(passed)
             if tested.size:
-                decided[tested] = _window_test(posterior[tested], epsilon,
-                                               below_buf, above_buf)[0]
+                first, last = tested[0], tested[-1] + 1
+                exact = _window_test(posterior[first:last], epsilon, below_buf, above_buf)[0]
+                decided[first:last] = exact & passed[first:last]
         else:
             decided, _, total = _window_test(posterior, epsilon, below_buf, above_buf)
         # The unscaled evidence of each readout, as posterior_update sums
@@ -406,13 +439,20 @@ class RunResult:
 
 
 def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
-               rng: np.random.Generator, record_steps: bool = False) -> RunResult:
-    """One full estimation of one target flux."""
+               rng: np.random.Generator, record_steps: bool = False,
+               workspace: np.ndarray | None = None) -> RunResult:
+    """One full estimation of one target flux.
+
+    Every step takes its block buffers from one ``workspace`` (see
+    run_step), allocated here unless given.
+    """
     candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
+    if workspace is None:
+        workspace = np.empty(_workspace_cells(config))
     records = []
     for _ in range(config.n_steps):
         records.append(run_step(candidates, true_flux, evaluator, config, rng,
-                                record_readouts=record_steps))
+                                record_readouts=record_steps, workspace=workspace))
         candidates = records[-1].survivors
     survivors = [rec.survivors for rec in records]
     delays = np.array([rec.tau for rec in records])

@@ -130,7 +130,9 @@ class FluxBias:
 
 
 def _require_operational(phi) -> None:
-    if np.any(np.asarray(phi) < 0.0) or np.any(np.asarray(phi) >= OPERATIONAL_PHI_MAX):
+    # Written so that NaN fails the check.
+    phi = np.asarray(phi)
+    if not np.all((phi >= 0.0) & (phi < OPERATIONAL_PHI_MAX)):
         raise FluxDomainError(
             f"flux must lie in [0, {OPERATIONAL_PHI_MAX}) for spectrum evaluation"
         )

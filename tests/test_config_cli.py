@@ -300,6 +300,13 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("phi", ["0.6", "nan", "0.2,nan"])
+def test_cli_rates_flux_outside_range_is_numerical_error(tmp_path, capsys, phi):
+    assert main(["rates", "--phi", phi, "--outdir", str(tmp_path)]) == EXIT_NUMERICAL
+    assert _stderr_error(capsys)["type"] == "numerical"
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_cli_numerical_error(tmp_path, capsys):
     cfg = tmp_path / "sweet.cfg"
     cfg.write_text("bias_phi = 0\n", encoding="utf-8")  # no flux slope there

@@ -94,6 +94,9 @@ def test_detuning_zero_at_bias_point():
 
 def test_domain_errors():
     ev = FringeEvaluator(DESIGN, BIAS, n_qubits=1)
+    for phi_ext in (float("nan"), [0.0, float("nan")]):
+        with pytest.raises(FluxDomainError):
+            ev.detuning(phi_ext)
     with pytest.raises(FluxDomainError):
         ev.probability_excited(0.06, 1e-7)  # total flux beyond the operational range
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,77 @@ def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
     assert decided[:len(at_threshold)].all()
     assert not passed[-1], "a flat row passed the screen"
     assert passed[decided].all(), "the screen rejected a deciding row"
+
+
+def _assert_same_run(result, fresh):
+    for name in ("delays", "counts", "estimates", "cumulative_time", "cap_hits", "retained"):
+        assert np.array_equal(getattr(result, name), getattr(fresh, name)), name
+    for rec, ref in zip(result.steps, fresh.steps, strict=True):
+        assert (rec.tau, rec.theta, rec.n_measurements, rec.cap_hit, rec.readouts) == \
+            (ref.tau, ref.theta, ref.n_measurements, ref.cap_hit, ref.readouts)
+        assert np.array_equal(rec.survivors.fluxes, ref.survivors.fluxes)
+        assert np.array_equal(rec.survivors.weights, ref.survivors.weights)
+
+
+def test_reused_workspace_matches_fresh_buffers(monkeypatch):
+    # one NaN-filled workspace through runs of different layouts against
+    # zeroed buffers made fresh for every step: a read of a cell the step
+    # did not write, or survivors that share the workspace, change a record
+    step = pea.run_step
+
+    def fresh_step(*args, workspace, **kwargs):
+        return step(*args, workspace=np.zeros(workspace.size), **kwargs)
+
+    configs = [
+        PeaConfig(n_qubits=1, decoherence_enabled=False),
+        PeaConfig(n_qubits=3),
+        PeaConfig(n_qubits=1, grid_size=3000, n_steps=3, decoherence_enabled=False),
+        PeaConfig(n_qubits=1, measurement_cap=40, decoherence_enabled=False),
+    ]
+    workspace = np.full(max(pea._workspace_cells(c) for c in configs), np.nan)
+    for seed, config in enumerate(configs):
+        evaluator = _evaluator(config.n_qubits, config.decoherence_enabled)
+        grid = build_flux_grid(DESIGN, BIAS, config)
+        true_flux = float(grid.fluxes[(901 * seed) % len(grid)])
+        reused = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
+                            record_steps=True, workspace=workspace)
+        with monkeypatch.context() as patch:
+            patch.setattr(pea, "run_step", fresh_step)
+            fresh = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
+                               record_steps=True)
+        _assert_same_run(reused, fresh)
+    assert not np.isnan(workspace).all(), "the runs did not use the workspace"
+    with pytest.raises(ValueError, match="workspace"):
+        run_step(grid, true_flux, evaluator, config, np.random.default_rng(0),
+                 workspace=np.empty(10))
+
+
+# Peak traced memory of one warm run_step with a run's workspace: 204 KiB
+# at most on every step of the standard decohered runs (m = 6144 down to
+# 8), so the bound has 2x headroom.  A step that allocates its own block
+# buffers peaks at 590-998 KiB.
+_STEP_PEAK_BYTES = 2 * 204 * 1024
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_run_step_allocates_no_block_buffers(n_qubits):
+    config = PeaConfig(n_qubits=n_qubits)
+    evaluator = _evaluator(n_qubits, decohere=True)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    true_flux = float(grid.fluxes[901 % len(grid)])
+    workspace = np.empty(pea._workspace_cells(config))
+    rng = np.random.default_rng(n_qubits)
+    run_step(grid, true_flux, evaluator, config, rng, workspace=workspace)  # warm
+    candidates, peaks = grid, {}
+    for _ in range(config.n_steps):
+        tracemalloc.start()
+        try:
+            rec = run_step(candidates, true_flux, evaluator, config, rng, workspace=workspace)
+            peaks[len(candidates)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        candidates = rec.survivors
+    assert max(peaks.values()) <= _STEP_PEAK_BYTES, peaks
 
 
 def test_run_step_two_candidates():
