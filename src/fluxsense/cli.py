@@ -45,7 +45,7 @@ from .fringes import FringeEvaluator, pattern_grid
 from .magnetostatics import mutual_inductances
 from .optimizer import dynamic_range, find_optimal_flux, ridge_scan
 from .pea import DESK_PRESET, FULL_PRESET, aggregate_report, run_campaign, runs_report
-from .qubit import FluxBias
+from .qubit import OPERATIONAL_PHI_MAX, FluxBias
 
 OUTPUT_DIR_ENV = "FLUXSENSE_OUTDIR"
 
@@ -135,7 +135,7 @@ def _cmd_optimal_point(args, config: ToolConfig, outdir: Path) -> list[Path]:
 
 def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
     f_values = np.linspace(args.fq_min_ghz, args.fq_max_ghz, args.fq_points) * 1e9
-    phi_values = np.linspace(0.0, 0.4999, args.phi_points, endpoint=False)
+    phi_values = np.linspace(0.0, OPERATIONAL_PHI_MAX, args.phi_points, endpoint=False)
     if args.temps is None:
         temps_mk = [config.design.temperature * 1e3]
     else:
@@ -180,24 +180,11 @@ def _cmd_calibration(args, config: ToolConfig, outdir: Path) -> list[Path]:
 
 
 def _cmd_pea(args, config: ToolConfig, outdir: Path) -> list[Path]:
-    overrides = {}
-    if args.preset is not None:
-        overrides.update(DESK_PRESET if args.preset == "desk" else FULL_PRESET)
-    if args.n_qubits is not None:
-        overrides["n_qubits"] = args.n_qubits
-    if args.no_decoherence:
-        overrides["decoherence_enabled"] = False
-    try:
-        pea = replace(config.pea, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"pea options conflict with the configuration: {exc}") from exc
-    result = run_campaign(config.design, FluxBias(config.bias_phi), pea, n_jobs=args.jobs)
+    result = run_campaign(config.design, FluxBias(config.bias_phi), config.pea, n_jobs=args.jobs)
     steps_path = outdir / "pea_steps.csv"
     runs_path = outdir / "pea_runs.csv"
     _write_text(steps_path, aggregate_report(result))
     _write_text(runs_path, runs_report(result))
-    # Manifest reflects the campaign configuration actually run.
-    args.resolved_config = replace(config, pea=pea)
     return [steps_path, runs_path]
 
 
@@ -268,16 +255,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     started = time.perf_counter()
     config = load_config(args.config) if args.config else parse_config("")
-    if args.seed is not None:
-        try:
-            config = replace(config, pea=replace(config.pea, master_seed=args.seed))
-        except ValueError as exc:
-            raise _UsageError(f"--seed: {exc}") from None
+    # Every flag that sets a PeaConfig field; calibration's --n-qubits is its own.
+    overrides = {} if args.seed is None else {"master_seed": args.seed}
+    if args.subcommand == "pea":
+        if args.preset is not None:
+            overrides.update(DESK_PRESET if args.preset == "desk" else FULL_PRESET)
+        if args.n_qubits is not None:
+            overrides["n_qubits"] = args.n_qubits
+        if args.no_decoherence:
+            overrides["decoherence_enabled"] = False
+    try:
+        config = replace(config, pea=replace(config.pea, **overrides))
+    except ValueError as exc:
+        raise ConfigError(f"invalid options for this configuration: {exc}") from exc
 
     outdir = Path(args.outdir or os.environ.get(OUTPUT_DIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    args.resolved_config = config
     outputs = _HANDLERS[args.subcommand](args, config, outdir)
     for path in outputs:
         print(path)
@@ -286,8 +280,8 @@ def _run(args) -> int:
         manifest = RunManifest(
             subcommand=args.subcommand,
             tool_version=__version__,
-            master_seed=args.resolved_config.pea.master_seed,
-            config=args.resolved_config,
+            master_seed=config.pea.master_seed,
+            config=config,
             output_files=tuple(str(p) for p in outputs),
             wall_seconds=time.perf_counter() - started,
         )

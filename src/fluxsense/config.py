@@ -20,7 +20,8 @@ The bias-line patches are set as rectangles ``squid_rect<i>`` and
 (+1 or -1); providing any ``squid_rect<i>`` (or ``gap_rect<i>``)
 replaces the entire default rectangle set of that group.
 
-Only the dataclasses check ranges.  A rejected configuration is
+Only the dataclasses check ranges, finiteness included, so a value
+meets the same rules however it arrives.  A rejected configuration is
 reported at the first line whose value fails on its own over the
 defaults; a conflict between lines that pass alone has no line number.
 """
@@ -57,13 +58,6 @@ class ToolConfig:
         FluxBias(self.bias_phi)
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("value must be finite")
-    return value
-
-
 def _parse_int(text: str) -> int:
     try:
         return int(text, 10)
@@ -87,7 +81,7 @@ def _parse_rect(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_PARSERS = {float: _parse_float, int: _parse_int, int | None: _parse_int, bool: _parse_bool}
+_PARSERS = {float: float, int: _parse_int, int | None: _parse_int, bool: _parse_bool}
 
 # Rectangle key prefix -> the BiasLineGeometry field its patches replace.
 _RECT_GROUPS = {"squid_rect": "squid_patches", "gap_rect": "gap_patches"}
@@ -200,7 +194,7 @@ def parse_config(text: str) -> ToolConfig:
         if parser is _parse_rect:
             rects[path[-1]] = _patch_from_rect(value, scale, key, lineno)
         else:
-            settings.append((path, value * scale if parser is _parse_float else value, key, lineno))
+            settings.append((path, value * scale if parser is float else value, key, lineno))
 
     data: dict = {}
     for path, value, _, _ in settings:

@@ -18,6 +18,7 @@ as products of 4 x 4 unitaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,8 +91,8 @@ class FringeEvaluator:
         seconds, ``theta`` an extra measurement phase inside the
         cosine.
         """
-        if tau < 0:
-            raise ValueError("delay must be non-negative")
+        if not (0 <= tau < math.inf and -math.inf < theta < math.inf):
+            raise ValueError(f"need a finite delay >= 0 and a finite phase, got {tau} and {theta}")
         delta = self.detuning(phi_ext)
         osc = np.cos(self.n_qubits * delta * tau + theta)
         p = 0.5 + 0.5 * self.visibility * self.envelope(tau) * osc

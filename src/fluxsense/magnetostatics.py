@@ -55,8 +55,9 @@ class FluxPatch:
     orientation: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError("rectangle needs x1 < x2 and y1 < y2")
+        if not (-math.inf < self.x1 < self.x2 < math.inf
+                and -math.inf < self.y1 < self.y2 < math.inf):
+            raise ValueError("rectangle needs finite x1 < x2 and y1 < y2")
         if self.orientation not in (-1.0, 1.0):
             raise ValueError("orientation must be +1 or -1")
 
@@ -97,8 +98,8 @@ class BiasLineGeometry:
 
     def __post_init__(self) -> None:
         for name in ("x_a", "feed_width", "arm_width"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:  # NaN and +-inf fail too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.squid_patches:
             raise ValueError("at least one SQUID patch is required")
 
@@ -203,6 +204,6 @@ def mutual_inductances(geometry: BiasLineGeometry) -> InductanceReport:
     """
     m = sum(flux_through_rectangle(geometry, patch) for patch in geometry.squid_patches)
     mp = sum(flux_through_rectangle(geometry, patch) for patch in geometry.gap_patches)
-    if m <= 0:
-        raise ArithmeticError("SQUID coupling came out non-positive; check geometry")
+    if not (0 < m < math.inf and math.isfinite(mp)):  # NaN fails too
+        raise ArithmeticError(f"couplings came out M = {m}, M' = {mp} H; check geometry")
     return InductanceReport(m, abs(mp), CONSTANTS.Phi_0 / m)

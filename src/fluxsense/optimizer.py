@@ -24,6 +24,7 @@ from .qubit import (
     SensorDesign,
     _d_omega_d_phi,
     _f_q,
+    _operational,
     _visibility,
     spectrum_derivatives,
 )
@@ -56,16 +57,20 @@ def _optimal_delay(a, b, n_qubits):
         return np.where(b == 0, 1.0 / (n * a), (-n * a + disc) / (4 * b**2 * n))
 
 
+def _require_decay(envelope_a: float, envelope_b: float, what: str) -> None:
+    if not (envelope_a >= 0 and envelope_b >= 0):  # NaN fails too
+        raise ValueError("envelope rates must be non-negative")
+    if envelope_a == 0 and envelope_b == 0:
+        raise ValueError(f"{what} is unbounded without decoherence")
+
+
 def optimal_delay(envelope_a: float, envelope_b: float, n_qubits: int = 1) -> float:
     """Delay maximizing tau * exp(-N (A tau + B^2 tau^2)).
 
     Solves 2 N B^2 tau^2 + N A tau - 1 = 0 for the positive root; with
     B = 0 this reduces to 1/(N A).
     """
-    if envelope_a < 0 or envelope_b < 0:
-        raise ValueError("envelope rates must be non-negative")
-    if envelope_a == 0 and envelope_b == 0:
-        raise ValueError("optimal delay is unbounded without decoherence")
+    _require_decay(envelope_a, envelope_b, "optimal delay")
     return float(_optimal_delay(envelope_a, envelope_b, n_qubits))
 
 
@@ -74,10 +79,7 @@ def coherence_time(envelope_a: float, envelope_b: float) -> float:
 
     Positive root of A t + B^2 t^2 = 1.
     """
-    if envelope_a < 0 or envelope_b < 0:
-        raise ValueError("envelope rates must be non-negative")
-    if envelope_a == 0 and envelope_b == 0:
-        raise ValueError("coherence time is unbounded without decoherence")
+    _require_decay(envelope_a, envelope_b, "coherence time")
     if envelope_b == 0:
         return 1.0 / envelope_a
     return (-envelope_a + math.sqrt(envelope_a**2 + 4 * envelope_b**2)) / (2 * envelope_b**2)
@@ -92,7 +94,7 @@ def sensitivity_array(design: SensorDesign, phi, n_qubits: int = 1, tau=None) ->
     delay is unbounded (no decoherence at all).
     """
     phi = np.asarray(phi, dtype=float)
-    inside = (phi >= 0.0) & (phi < OPERATIONAL_PHI_MAX)
+    inside = _operational(phi)
     phi = np.where(inside, phi, 0.0)
     f_q = _f_q(design, phi)
     a, b = decoherence.channel_rates(design, phi)[-2:]
@@ -126,8 +128,8 @@ def step_budget(tau_opt: float, tau_min: float = DEFAULT_TAU_MIN) -> int:
     floor(log2(2 tau_opt / tau_min)), clamped to zero.  frexp keeps the
     integer log exact when the ratio is a power of two.
     """
-    if tau_opt <= 0 or tau_min <= 0:
-        raise ValueError("delays must be positive")
+    if not (0 < tau_opt < math.inf and 0 < tau_min < math.inf):
+        raise ValueError(f"delays must be positive and finite, got {tau_opt} and {tau_min}")
     ratio = 2 * tau_opt / tau_min
     if ratio < 1:
         return 0
@@ -139,8 +141,8 @@ def step_budget(tau_opt: float, tau_min: float = DEFAULT_TAU_MIN) -> int:
 def dynamic_range(design: SensorDesign, bias: FluxBias, tau_min: float = DEFAULT_TAU_MIN,
                   n_qubits: int = 1) -> float:
     """Unambiguous flux span of the fastest fringe, pi/(tau_min |slope| N)."""
-    if tau_min <= 0:
-        raise ValueError("tau_min must be positive")
+    if not 0 < tau_min < math.inf:
+        raise ValueError(f"tau_min must be positive and finite, got {tau_min}")
     slope = abs(spectrum_derivatives(design, bias).d_omega_d_phi)
     if slope == 0:
         raise ValueError("dynamic range diverges at the sweet spot")

@@ -35,6 +35,7 @@ independent of execution order or worker count.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -78,18 +79,18 @@ class PeaConfig:
     grid_size: int | None = None  # None selects the standard size for n_qubits
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails every check.
+        # Written so that NaN and +-inf fail every check.
         if self.n_qubits not in GRID_SIZES:
             raise ValueError(f"n_qubits must be one of {sorted(GRID_SIZES)}")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if not (self.sigma0 > 0 and self.sigma1 > 0):
-            raise ValueError(f"readout widths sigma0 and sigma1 must be positive, "
+        if not (0 < self.sigma0 < math.inf and 0 < self.sigma1 < math.inf):
+            raise ValueError(f"readout widths sigma0 and sigma1 must be positive and finite, "
                              f"got {self.sigma0} and {self.sigma1}")
-        if not self.tau_min > 0:
-            raise ValueError("tau_min must be positive")
-        if not self.measurement_cap >= 1:
-            raise ValueError(f"measurement_cap must be at least 1, got {self.measurement_cap}")
+        if not 0 < self.tau_min < math.inf:
+            raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
+        if not 1 <= self.measurement_cap < math.inf:
+            raise ValueError(f"measurement_cap must be finite and >= 1, got {self.measurement_cap}")
         size = self.resolved_grid_size
         if size < 2:
             raise ValueError("grid_size must be at least 2")
@@ -129,7 +130,7 @@ class CandidateSet:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.fluxes.shape != self.weights.shape or self.fluxes.ndim != 1:
             raise ValueError("fluxes and weights must be matching 1-D arrays")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
+        if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise ValueError("weights must be a normalized distribution")
 
     def __len__(self) -> int:
@@ -228,7 +229,9 @@ _BLOCK_CELLS = 1 << 15
 _FIRST_BLOCK = 64
 # A block ends before its readouts span more than this many nats between
 # the two level log-likelihoods, so no product of scaled likelihoods
-# (each in [exp(-span), 1]) can underflow.
+# (each in [exp(-span), 1]) can underflow.  When one readout spans more
+# (~5e5 nats at sigma0 = sigma1 = 1e-3), each block keeps one readout and
+# discards the rest: still exact, but one set of numpy calls a readout.
 _BLOCK_NATS = 600.0
 # From this many candidates on, one numpy product per readout row beats
 # numpy's running product down the rows, which costs ~6 ns a cell.

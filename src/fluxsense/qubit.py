@@ -53,6 +53,11 @@ CONSTANTS = PhysicalConstants()
 OPERATIONAL_PHI_MAX = 0.4999
 
 
+def _operational(phi):
+    """Whether phi lies in [0, OPERATIONAL_PHI_MAX), elementwise; NaN does not."""
+    return (phi >= 0.0) & (phi < OPERATIONAL_PHI_MAX)
+
+
 @dataclass(frozen=True)
 class SensorDesign:
     """Fabrication and operation parameters of one tunable-qubit sensor.
@@ -107,13 +112,14 @@ class SensorDesign:
     def __post_init__(self) -> None:
         if not 1e9 <= self.f_q_max <= 25e9:
             raise ValueError(f"f_q_max must lie between 1 and 25 GHz, got {self.f_q_max} Hz")
-        # Written so that NaN fails every check.
+        # Written so that NaN and +-inf fail every check.
         for name in ("e_c_over_h", "kappa", "delta", "z0", "c_c", "c_qg"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("beta", "m_ind", "m_parasitic", "alpha_flux", "gamma_ic", "temperature"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -123,16 +129,14 @@ class FluxBias:
     phi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.phi < OPERATIONAL_PHI_MAX:
+        if not _operational(self.phi):
             raise FluxDomainError(
                 f"flux bias must lie in [0, {OPERATIONAL_PHI_MAX}), got {self.phi}"
             )
 
 
 def _require_operational(phi) -> None:
-    # Written so that NaN fails the check.
-    phi = np.asarray(phi)
-    if not np.all((phi >= 0.0) & (phi < OPERATIONAL_PHI_MAX)):
+    if not np.all(_operational(np.asarray(phi))):
         raise FluxDomainError(
             f"flux must lie in [0, {OPERATIONAL_PHI_MAX}) for spectrum evaluation"
         )
@@ -228,8 +232,8 @@ def thermal_visibility(f_q: float, temperature: float) -> float:
 
     Returns 1.0 at zero temperature.
     """
-    if f_q <= 0:
+    if not f_q > 0:
         raise ValueError(f"transition frequency must be positive, got {f_q}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be non-negative")
     return float(_visibility(f_q, temperature))

@@ -109,6 +109,8 @@ def test_pea_and_bias_keys():
     ("feed_width_um = -5\n", "line 1: feed_width_um"),
     ("bias_phi = 0.7\n", "line 1: bias_phi"),
     ("bias_phi = 0.4999\n", "line 1: bias_phi"),
+    ("squid_rect1 = 1e-6, inf, 8e-6, 9e-6\n", "line 1: squid_rect1"),
+    ("kappa_mhz = 1e308\n", "line 1: kappa_mhz"),  # finite, but inf in rad/s
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -128,18 +130,23 @@ def test_config_from_dict_validates(section, field, value):
         config_from_dict(payload)
 
 
-@pytest.mark.parametrize("section,field", [
-    ("design", "kappa"),
-    ("design", "temperature"),
-    ("pea", "sigma0"),
-    ("pea", "measurement_cap"),
-    ("geometry", "x_a"),
-])
+def _float_leaves():
+    """(section, field) of every scalar float of the default configuration."""
+    for key, value in config_to_dict(parse_config("")).items():
+        if isinstance(value, float):
+            yield None, key
+        elif isinstance(value, dict):
+            yield from ((key, name) for name, leaf in value.items() if isinstance(leaf, float))
+
+
+# Each of these has a lower bound and is closed at infinity: NaN, +inf and -inf all fail.
+@pytest.mark.parametrize("section,field", [*_float_leaves(), ("pea", "measurement_cap")])
 def test_config_from_dict_rejects_nan(section, field):
-    payload = config_to_dict(parse_config(""))
-    payload[section][field] = math.nan
-    with pytest.raises(ValueError, match=field):
-        config_from_dict(payload)
+    for value in (math.nan, math.inf, -math.inf):
+        payload = config_to_dict(parse_config(""))
+        (payload[section] if section else payload)[field] = value
+        with pytest.raises(ValueError, match=field if section else "flux bias"):
+            config_from_dict(payload)
 
 
 def test_every_dataclass_field_is_a_config_key():
@@ -255,6 +262,18 @@ def test_cli_config_error(tmp_path, capsys):
     rc = main(["rates", "--config", str(bad), "--outdir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert _stderr_error(capsys)["type"] == "config"
+    # a non-finite rectangle corner, and a flag value the configuration rejects
+    rect = tmp_path / "rect.cfg"
+    rect.write_text("squid_rect1 = 1e-6, inf, 8e-6, 9e-6\n", encoding="utf-8")
+    for argv, fragment, written in (
+        (["inductance", "--config", str(rect)], "line 1: squid_rect1", "inductance.json"),
+        (["pea", "--seed", "-1"], "master_seed", "pea_steps.csv"),
+    ):
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_CONFIG
+        error = _stderr_error(capsys)
+        assert error["type"] == "config"
+        assert fragment in error["message"]
+        assert not (tmp_path / written).exists()
     # a bias past the operational range is rejected where it is read
     edge = tmp_path / "edge.cfg"
     edge.write_text("bias_phi = 0.4999\n", encoding="utf-8")
@@ -313,6 +332,12 @@ def test_cli_numerical_error(tmp_path, capsys):
     rc = main(["calibration", "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert _stderr_error(capsys)["type"] == "numerical"
+    # non-finite flag values: nothing is written
+    for argv in (["ridge", "--temps", "inf"], ["calibration", "--tau-ns", "inf"],
+                 ["calibration", "--theta", "inf"]):
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_NUMERICAL
+        assert _stderr_error(capsys)["type"] == "numerical"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sweet.cfg"]
 
 
 def test_cli_pea_option_conflict_is_config_error(tmp_path, capsys):

@@ -101,6 +101,9 @@ def test_domain_errors():
         ev.probability_excited(0.06, 1e-7)  # total flux beyond the operational range
     with pytest.raises(ValueError):
         ev.probability_excited(0.0, -1e-9)
+    for tau, theta in ((math.nan, 0.0), (math.inf, 0.0), (1e-7, math.inf)):
+        with pytest.raises(ValueError):
+            ev.probability_excited(0.0, tau, theta)
     with pytest.raises(ValueError):
         FringeEvaluator(DESIGN, BIAS, n_qubits=0)
 

@@ -39,12 +39,19 @@ def test_patch_validation():
         FluxPatch(0.0, 1e-6, 2e-6, 1e-6)
     with pytest.raises(ValueError):
         FluxPatch(0.0, 1e-6, 0.0, 1e-6, orientation=0.5)
+    for corners in ((0.0, math.inf, 0.0, 1e-6), (-math.inf, 0.0, 0.0, 1e-6),
+                    (0.0, 1e-6, -math.inf, 1e-6), (0.0, 1e-6, 0.0, math.inf)):
+        with pytest.raises(ValueError):
+            FluxPatch(*corners)
     assert FluxPatch(0.0, 2e-6, 0.0, 3e-6).area == pytest.approx(6e-12, rel=1e-12)
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
         BiasLineGeometry(x_a=0.0)
+    for name in ("x_a", "feed_width", "arm_width"):
+        with pytest.raises(ValueError, match=name):
+            BiasLineGeometry(**{name: math.inf})
     with pytest.raises(ValueError):
         BiasLineGeometry(squid_patches=())
 
@@ -171,6 +178,14 @@ def test_squid_flux_at_reference_current():
                 for p in GEOMETRY.squid_patches)
     assert total == pytest.approx(2.0754729984963807e-15, rel=1e-9)
     assert total == pytest.approx(2.08e-15, rel=5e-2)
+
+
+@pytest.mark.parametrize("group", ["squid_patches", "gap_patches"])
+def test_mutual_inductance_that_overflows_is_an_error(group):
+    # finite corners whose flux overflows to inf - inf = NaN
+    geometry = BiasLineGeometry(**{group: (FluxPatch(1e-6, 1.7e308, 8e-6, 9e-6),)})
+    with pytest.raises(ArithmeticError):
+        mutual_inductances(geometry)
 
 
 def test_mutual_inductances_reference_geometry():

@@ -69,6 +69,9 @@ def test_optimal_delay_rejects_degenerate_input():
         optimal_delay(0.0, 0.0, 1)
     with pytest.raises(ValueError):
         optimal_delay(-1.0, 1e4, 1)
+    for a, b in ((math.nan, 1e4), (5e4, math.nan)):
+        with pytest.raises(ValueError):
+            optimal_delay(a, b, 1)
 
 
 def test_coherence_time():
@@ -78,6 +81,8 @@ def test_coherence_time():
     assert coherence_time(A_STAR, B_STAR) == pytest.approx(4.625e-6, rel=2e-2)
     with pytest.raises(ValueError):
         coherence_time(0.0, 0.0)
+    with pytest.raises(ValueError):
+        coherence_time(0.0, math.nan)
 
 
 def test_coherence_time_root_identity_and_ordering():
@@ -261,6 +266,9 @@ def test_step_budget():
     assert step_budget(3.9999e-7, 1e-7) == 2
     with pytest.raises(ValueError):
         step_budget(0.0, 1e-7)
+    for tau_opt, tau_min in ((math.nan, 1e-7), (3e-6, math.nan), (math.inf, 1e-7)):
+        with pytest.raises(ValueError):
+            step_budget(tau_opt, tau_min)
 
 
 def test_dynamic_range():
@@ -272,6 +280,9 @@ def test_dynamic_range():
     assert dynamic_range(DESIGN, BIAS, 200e-9, 1) == pytest.approx(one / 2, rel=1e-12)
     with pytest.raises(ValueError):
         dynamic_range(DESIGN, FluxBias(0.0), 100e-9, 1)
+    for tau_min in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dynamic_range(DESIGN, BIAS, tau_min, 1)
 
 
 def test_ridge_scan_single_cell():

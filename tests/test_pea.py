@@ -79,6 +79,8 @@ def test_candidate_set_validation():
         CandidateSet(np.arange(2.0), np.array([0.6, 0.6]), 1.0)
     with pytest.raises(ValueError):
         CandidateSet(np.arange(2.0), np.array([1.2, -0.2]), 1.0)
+    with pytest.raises(ValueError):
+        CandidateSet(np.arange(2.0), np.array([np.nan, np.nan]), 1.0)
 
 
 def test_candidate_set_interval_and_mean():

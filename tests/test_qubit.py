@@ -190,3 +190,6 @@ def test_thermal_visibility_rejects_bad_input():
         thermal_visibility(0.0, 0.04)
     with pytest.raises(ValueError):
         thermal_visibility(5e9, -0.01)
+    for f_q, temperature in ((math.nan, 0.04), (5e9, math.nan)):
+        with pytest.raises(ValueError):
+            thermal_visibility(f_q, temperature)
