@@ -104,6 +104,17 @@ def _comma_floats(text: str) -> list[float]:
         raise _UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """A point count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _json_float(value: float) -> float:
     return float(f"{value:.9g}")
 
@@ -231,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ridge", parents=[common], help="sensitivity surface and ridge maxima")
     p.add_argument("--fq-min-ghz", type=float, default=2.0)
     p.add_argument("--fq-max-ghz", type=float, default=20.0)
-    p.add_argument("--fq-points", type=int, default=50)
-    p.add_argument("--phi-points", type=int, default=200)
+    p.add_argument("--fq-points", type=_count, default=50)
+    p.add_argument("--phi-points", type=_count, default=200)
     p.add_argument("--temps", help="comma-separated temperatures in mK")
 
     p = sub.add_parser("calibration", parents=[common], help="fringe pattern CSV")
     p.add_argument("--n-qubits", type=int, choices=(1, 2, 3))
     p.add_argument("--tau-ns", type=float, help="delay in ns (default: tau_min)")
     p.add_argument("--theta", type=float, default=0.0, help="measurement phase, rad")
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_count, default=512)
 
     p = sub.add_parser("pea", parents=[common], help="phase-estimation campaign")
     p.add_argument("--n-qubits", type=int, choices=(1, 2, 3))

@@ -14,10 +14,11 @@ scaling) until decoherence caps the useful delay.
 
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
-On wide grids a cheap screen picks the rows of a block that may decide:
-any window of half the candidates lies inside a run of 33 of 64 equal
-blocks of candidates, and no weight is negative, so a row whose
-heaviest run of blocks holds less than 1 - epsilon of its mass cannot
+A screen of one matrix product picks the rows of a block that may
+decide.  On narrow grids its columns are the windows of half the
+candidates; on wide grids they are the runs of 33 of 64 equal blocks of
+candidates, and any window lies inside one.  No weight is negative, so
+a row none of whose columns holds 1 - epsilon of its mass cannot
 decide.  The exact window test runs only on the rows that pass, so the
 deciding readout and the kept window are the same as without it.
 
@@ -34,8 +35,10 @@ independent of execution order or worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -55,6 +58,21 @@ DESK_PRESET = {"n_flux_targets": 32, "n_repetitions": 8}
 FULL_PRESET = {"n_flux_targets": 256, "n_repetitions": 24}
 
 DEFAULT_MASTER_SEED = 20240917
+
+
+_INT_FIELDS = ("n_qubits", "n_steps", "n_flux_targets", "n_repetitions", "master_seed",
+               "measurement_cap", "grid_size")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a numpy one too) and not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 class DegenerateLikelihoodError(ArithmeticError):
@@ -79,7 +97,11 @@ class PeaConfig:
     grid_size: int | None = None  # None selects the standard size for n_qubits
 
     def __post_init__(self) -> None:
-        # Written so that NaN and +-inf fail every check.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_integer(value) or name == "grid_size" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # The float checks are written so that NaN and +-inf fail them.
         if self.n_qubits not in GRID_SIZES:
             raise ValueError(f"n_qubits must be one of {sorted(GRID_SIZES)}")
         if not 0.0 < self.epsilon < 0.5:
@@ -89,8 +111,8 @@ class PeaConfig:
                              f"got {self.sigma0} and {self.sigma1}")
         if not 0 < self.tau_min < math.inf:
             raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
-        if not 1 <= self.measurement_cap < math.inf:
-            raise ValueError(f"measurement_cap must be finite and >= 1, got {self.measurement_cap}")
+        if self.measurement_cap < 1:
+            raise ValueError(f"measurement_cap must be at least 1, got {self.measurement_cap}")
         size = self.resolved_grid_size
         if size < 2:
             raise ValueError("grid_size must be at least 2")
@@ -236,23 +258,56 @@ _BLOCK_NATS = 600.0
 # From this many candidates on, one numpy product per readout row beats
 # numpy's running product down the rows, which costs ~6 ns a cell.
 _ROW_PRODUCT_MIN = 256
-# Window screen (see run_step): blocks a row splits into, the blocks a
-# run needs to hold any window of half the row, and a relative slack far
-# above the rounding of the sums (~m * 2^-53 of the row's mass).  Below
-# _SCREEN_MIN candidates the block sums cost about what they save.
-_SCREEN_BLOCKS = 64
-_SCREEN_RUN = _SCREEN_BLOCKS // 2 + 1
-_SCREEN_SLACK = 1e-9
+# Window screen (see run_step).  Grids of at most _DIRECT_MAX candidates
+# are screened window by window, grids of at least _SCREEN_MIN that split
+# into _SCREEN_BLOCKS equal blocks by runs of blocks, and the grids
+# between not at all: in runs timed by scripts/step_costs.py the screen
+# cost them as much as the exact tests it spared or more (m = 48 in
+# coherent runs), and from m = 64 on OpenBLAS splits the window product
+# over threads, slower on two cores.  The relative slack is far above
+# the rounding of the products (~m * 2^-53 of the row's mass).
+_DIRECT_MAX = 32
 _SCREEN_MIN = 1024
+_SCREEN_BLOCKS = 64
+_SCREEN_SLACK = 1e-9
+
+
+def _screen_blocks(m: int) -> int:
+    """Blocks the window screen sums m candidates into: m, _SCREEN_BLOCKS or 0 (no screen)."""
+    if m <= _DIRECT_MAX:
+        return m
+    if m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0:
+        return _SCREEN_BLOCKS
+    return 0
+
+
+@functools.lru_cache(maxsize=64)
+def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's matrix over m candidates, and a column of ones.
+
+    Column j of the matrix is the indicator of the j-th window of m/2
+    candidates (on grids screened window by window) or of the j-th run
+    of _SCREEN_BLOCKS/2 + 1 blocks, less (1 - _SCREEN_SLACK)(1 - epsilon).
+    """
+    blocks = _screen_blocks(m)
+    run = blocks // 2 + (blocks < m)
+    cell, start = np.arange(blocks)[:, None], np.arange(blocks - run + 1)
+    matrix = ((cell >= start) & (cell < start + run)) - (1.0 - _SCREEN_SLACK) * (1.0 - epsilon)
+    ones = np.ones(blocks)
+    matrix.flags.writeable = ones.flags.writeable = False
+    return matrix, ones
 
 
 def _level_likelihoods(x: np.ndarray, config: PeaConfig):
-    """Per readout: both level likelihoods over the larger one, their
-    log-ratio span, and the larger one unscaled."""
+    """How many readouts of ``x`` a block keeps (see _BLOCK_NATS) and, per
+    kept readout, both level likelihoods over the larger one and the
+    larger one unscaled."""
     ll1 = -0.5 * ((x - 1.0) / config.sigma1) ** 2 - np.log(config.sigma1)
     ll0 = -0.5 * (x / config.sigma0) ** 2 - np.log(config.sigma0)
+    k = max(1, int(np.searchsorted(np.cumsum(np.abs(ll1 - ll0)), _BLOCK_NATS, side="right")))
+    ll1, ll0 = ll1[:k], ll0[:k]
     top = np.maximum(ll1, ll0)
-    return np.exp(ll1 - top), np.exp(ll0 - top), np.abs(ll1 - ll0), np.exp(top)
+    return k, np.exp(ll1 - top), np.exp(ll0 - top), np.exp(top)
 
 
 def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
@@ -277,34 +332,34 @@ def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     return outside.min(axis=1) <= epsilon * total, outside, total
 
 
-def _window_screen(posterior: np.ndarray, epsilon: float, runs: np.ndarray):
+def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray,
+                   above: np.ndarray):
     """Rows of ``posterior`` that the exact window test may accept, and their mass.
 
-    A row passes when its heaviest run of _SCREEN_RUN consecutive block
-    sums holds (1 - _SCREEN_SLACK)(1 - epsilon) of its mass.  ``runs``
-    is a [rows, _SCREEN_BLOCKS + 1] buffer.
+    A row passes when some column of its product with _screen_matrix is
+    not negative.  The product is written transposed, a row per column
+    of the matrix, so that its maximum per block row is elementwise
+    across a few long rows: a reduction along each of many short rows
+    costs far more.  The window test's buffers ``below`` and ``above``
+    hold the product and the block sums; both fit, as neither is wider
+    than half the candidates plus one.
     """
-    k = len(posterior)
-    runs = runs[:k]
-    runs[:, 0] = 0.0
-    blocks = posterior.reshape(k, _SCREEN_BLOCKS, -1).sum(axis=2)
-    np.cumsum(blocks, axis=1, out=runs[:, 1:])
-    total = runs[:, _SCREEN_BLOCKS]
-    heaviest = (runs[:, _SCREEN_RUN:] - runs[:, :-_SCREEN_RUN]).max(axis=1)
-    return heaviest >= (1.0 - _SCREEN_SLACK) * (1.0 - epsilon) * total, total
+    k, m = posterior.shape
+    matrix, ones = _screen_matrix(m, epsilon)
+    blocks = posterior
+    if len(ones) < m:
+        sums = above.reshape(-1)[:k * len(ones)].reshape(k, len(ones))
+        blocks = np.add.reduce(posterior.reshape(k, len(ones), -1), axis=2, out=sums)
+    margin = below.reshape(-1)[:matrix.shape[1] * k].reshape(-1, k)
+    np.matmul(matrix.T, blocks.T, out=margin)
+    return margin.max(axis=0) >= 0.0, blocks @ ones
 
 
 def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
-    """Rows and columns of a step's block buffers over m candidates.
-
-    The buffers are the posterior, the window test's ``below`` and
-    ``above`` and, on grids the screen runs on, its ``runs``.
-    """
+    """Rows and columns of a step's block buffers over m candidates:
+    the posterior and the window test's ``below`` and ``above``."""
     rows = min(max(1, _BLOCK_CELLS // m), cap)
-    columns = (m, m // 2 + 1, m // 2 + 1)
-    if m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0:
-        columns += (_SCREEN_BLOCKS + 1,)
-    return rows, columns
+    return rows, (m, m // 2 + 1, m // 2 + 1)
 
 
 def _workspace_cells(config: PeaConfig) -> int:
@@ -327,13 +382,15 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     cap is recorded, not fatal.
 
     The exact window test takes two prefix sums over every row it sees.
-    When m is at least _SCREEN_MIN and splits into _SCREEN_BLOCKS equal
-    blocks, it sees only the rows whose heaviest run of _SCREEN_RUN
-    consecutive block sums holds (1 - _SCREEN_SLACK)(1 - epsilon) of the
-    row's mass.  Every window of m/2 candidates lies inside such a run
-    and no cell is negative, so the rows screened out cannot decide (the
-    slack covers the rounding of the sums); the block sums also give
-    each row's mass.
+    On the grids _screen_blocks picks, it sees only the rows that pass a
+    screen of two matrix products: the block rows (summed into
+    _SCREEN_BLOCKS equal blocks on wide grids) times _screen_matrix give
+    each window's mass, or each run of _SCREEN_BLOCKS/2 + 1 blocks' mass,
+    less (1 - _SCREEN_SLACK)(1 - epsilon) of the row's, and times ones
+    give the row's mass.  A row passes when one of them is not negative.
+    Every window of m/2 candidates lies inside such a run and no cell is
+    negative, so the rows screened out cannot decide (the slack covers
+    the rounding of the products).
 
     The block buffers are views of ``workspace``, a 1-D float64 array
     (run_single sizes one with _workspace_cells) that the step writes
@@ -363,30 +420,30 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     for width in columns:
         buffers.append(workspace[offset:offset + rows * width].reshape(rows, width))
         offset += rows * width
-    posterior_buf, below_buf, above_buf, *screen_buf = buffers
+    posterior_buf, below_buf, above_buf = buffers
+    screened = _screen_blocks(m) > 0
     size = min(_FIRST_BLOCK, rows)
     weights = candidates.weights
     readouts: list[float] = []
     n = 0
     while True:
         x = sample_measurements(p_true, min(size, cap - n), config, rng)
-        a1, a0, span, scale = _level_likelihoods(x, config)
-        k = max(1, int(np.searchsorted(np.cumsum(span), _BLOCK_NATS, side="right")))
+        k, a1, a0, scale = _level_likelihoods(x, config)
         size = min(2 * k, rows)
         # posterior[r] = weights * prod over readouts 0..r of the scaled likelihoods
-        posterior = np.multiply.outer(a1[:k] - a0[:k], probs, out=posterior_buf[:k])
-        posterior += a0[:k, None]
+        posterior = np.multiply.outer(a1 - a0, probs, out=posterior_buf[:k])
+        posterior += a0[:, None]
         posterior[0] *= weights
         if m >= _ROW_PRODUCT_MIN:
             for row in range(1, k):
                 np.multiply(posterior[row], posterior[row - 1], out=posterior[row])
         else:
             np.cumprod(posterior, axis=0, out=posterior)
-        if screen_buf:
+        if screened:
             # The exact test runs on the rows from the first to the last
             # that the screen passes, a view; only passed rows may decide.
             decided = np.zeros(k, dtype=bool)
-            passed, total = _window_screen(posterior, epsilon, screen_buf[0])
+            passed, total = _window_screen(posterior, epsilon, below_buf, above_buf)
             tested = np.flatnonzero(passed)
             if tested.size:
                 first, last = tested[0], tested[-1] + 1
@@ -396,7 +453,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
             decided, _, total = _window_test(posterior, epsilon, below_buf, above_buf)
         # The unscaled evidence of each readout, as posterior_update sums
         # it; weights enter normalized, so the first row divides by 1.
-        evidence = scale[:k] * total / np.concatenate(([1.0], total[:-1]))
+        evidence = scale * total / np.concatenate(([1.0], total[:-1]))
         degenerate = ~(np.isfinite(evidence) & (evidence > 0.0))
         stops = np.flatnonzero(decided | degenerate)
         r = int(stops[0]) if stops.size else k - 1

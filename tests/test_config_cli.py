@@ -149,6 +149,21 @@ def test_config_from_dict_rejects_nan(section, field):
             config_from_dict(payload)
 
 
+def _pea_int_leaves():
+    """Every integer field of the default configuration's pea section."""
+    return [name for name, leaf in config_to_dict(parse_config(""))["pea"].items()
+            if isinstance(leaf, int) and not isinstance(leaf, bool)]
+
+
+@pytest.mark.parametrize("field", [*_pea_int_leaves(), "grid_size"])
+def test_config_from_dict_rejects_non_integers(field):
+    for value in (math.inf, 2.5, True):
+        payload = config_to_dict(parse_config(""))
+        payload["pea"][field] = value
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(payload)
+
+
 def test_every_dataclass_field_is_a_config_key():
     from fluxsense.config import _KEYS
 
@@ -292,6 +307,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     rc = main(["frobnicate"])
     assert rc == EXIT_CONFIG
     assert _stderr_error(capsys)["type"] == "usage"
+    # a point count below 1 is a usage error that names the flag and writes nothing
+    for command, flag, count in (("ridge", "--fq-points", "0"), ("ridge", "--phi-points", "0"),
+                                 ("ridge", "--fq-points", "-3"), ("calibration", "--points", "0"),
+                                 ("calibration", "--points", "-1")):
+        outdir = tmp_path / f"{command}{flag}{count}"
+        rc = main([command, flag, count, "--outdir", str(outdir)])
+        assert rc == EXIT_CONFIG
+        error = _stderr_error(capsys)
+        assert error["type"] == "usage" and flag in error["message"]
+        assert not outdir.exists()
 
 
 def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):

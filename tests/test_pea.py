@@ -328,9 +328,11 @@ def _level_span_nats(readouts, config):
     (2, True, 1.0, 64, 100, 8),      # the cap ends the second block early
     (1, False, 1.0, None, 40, 9),    # screened grids: a block ends at the cap on an untested row
     (1, False, 1.0, 3000, 10_000, 10),  # wide but not in 64 blocks: the exact test on every row
+    (3, True, 0.5, None, 300, 11),   # the cap ends the third block of the m <= 32 steps
+    (1, True, 1.0, 1152, 10_000, 12),  # 64 blocks of 18 candidates, last windows over 18
 ])
 def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size, cap, seed):
-    n_steps = {None: 9, 16: 4, 64: 6, 3000: 3}[grid_size]
+    n_steps = {None: 9, 16: 4, 64: 6, 3000: 3, 1152: 7}[grid_size]
     config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, grid_size=grid_size,
                        n_steps=n_steps, measurement_cap=cap, decoherence_enabled=decohere)
     evaluator = _evaluator(n_qubits, decohere)
@@ -402,8 +404,7 @@ def _screen_and_exact(rows, epsilon):
     """The screen's verdict and the exact window test's, for each row."""
     k, half = rows.shape[0], rows.shape[1] // 2
     below, above = np.zeros((k, half + 1)), np.zeros((k, half + 1))
-    runs = np.zeros((k, pea._SCREEN_BLOCKS + 1))
-    passed, total = pea._window_screen(rows, epsilon, runs)
+    passed, total = pea._window_screen(rows, epsilon, below, above)
     decided, _, exact_total = pea._window_test(rows, epsilon, below, above)
     assert total == pytest.approx(exact_total, rel=1e-12)
     return passed, decided
@@ -425,28 +426,43 @@ def _deciding_at_threshold(inside, outside, epsilon):
     return inside + lo * outside
 
 
-@pytest.mark.parametrize("m", [2048, 3072, 6144])
+# Every size the standard sensors screen, and sizes they do not reach:
+# blocks of an odd width (1088 = 64 x 17), windows over 6 candidates.
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 16, 24, 32, 1024, 1088, 1536, 2048, 3072, 6144])
 @pytest.mark.parametrize("epsilon", [1e-4, 0.25])
 def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
+    assert pea._screen_blocks(m), "not a screened size"
     rng = np.random.default_rng(m)
-    half, width = m // 2, m // pea._SCREEN_BLOCKS
+    half, width = m // 2, m // pea._screen_blocks(m)
     cells = np.arange(m)
     edges = (cells % width == 0) | (cells % width == width - 1)
     inside, outside = [], []
-    # heaviest windows on, next to and between block edges, and at the ends
-    for s in (0, 1, width - 1, width, width + 1, width // 2, half - 1, half,
-              int(rng.integers(half + 1))):
+
+    def add(s, profiles, rests):
         window = (cells >= s) & (cells < s + half)
         # outside mass more than a block from the window: a window on block
         # edges then holds all of its heaviest run of blocks
         far = (cells < s - width) | (cells >= s + half + width)
         ends = np.zeros(m)
         ends[[s, s + half - 1]] = 1.0
-        for profile in (ends, window * 1.0, window * edges, window * rng.random(m)):
-            for rest in (~window * 1.0, ~window * edges, ~window * rng.random(m), far * 1.0):
+        for profile in profiles(window, ends):
+            for rest in rests(window, far):
                 if rest.sum() > 0:
                     inside.append(profile / profile.sum())
                     outside.append(rest / rest.sum())
+
+    # heaviest windows on, next to and between block edges, and at the ends
+    starts = {0, 1, width - 1, width, width + 1, width // 2, half - 1, half,
+              int(rng.integers(half + 1))}
+    for s in sorted(starts & set(range(half + 1))):
+        add(s, lambda window, ends: (ends, window * 1.0, window * edges,
+                                     window * rng.random(m)),
+            lambda window, far: (~window * 1.0, ~window * edges, ~window * rng.random(m),
+                                 far * 1.0))
+    # a window that only one column of the screen holds, for every column:
+    # window s itself, or the run of blocks from the block of s
+    for s in range(min(1, width - 1), half + 1, width):
+        add(s, lambda window, ends: (ends,), lambda window, far: (~window * 1.0, far * 1.0))
     at_threshold = _deciding_at_threshold(np.array(inside), np.array(outside), epsilon)
     centres = rng.uniform(0, m, 24)[:, None]
     widths = rng.choice([m / 60, m / 30, m / 12, m / 6], 24)[:, None]
