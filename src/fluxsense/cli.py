@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvtext
 from .config import (
     ConfigError,
     ToolConfig,
@@ -98,14 +99,18 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _comma_floats(text: str) -> list[float]:
+    """At least one number, comma-separated."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _UsageError(f"expected comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _count(text: str) -> int:
-    """A point count: an integer of at least 1."""
+    """A count (points, worker processes): an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -122,23 +127,15 @@ def _json_float(value: float) -> float:
 # Subcommand handlers: (args, config, outdir) -> list of written paths.
 
 def _cmd_rates(args, config: ToolConfig, outdir: Path) -> list[Path]:
-    phis = _comma_floats(args.phi)
     path = outdir / "rates.csv"
-    _write_text(path, rates_table(config.design, phis))
+    _write_text(path, rates_table(config.design, args.phi))
     return [path]
 
 
 def _cmd_optimal_point(args, config: ToolConfig, outdir: Path) -> list[Path]:
     point = find_optimal_flux(config.design, tau_min=config.pea.tau_min)
-    payload = {
-        "phi_star": _json_float(point.phi_star),
-        "tau_opt": _json_float(point.tau_opt),
-        "sensitivity": _json_float(point.sensitivity),
-        "t2": _json_float(point.t2),
-        "n_steps": point.n_steps,
-        "dynamic_range": _json_float(point.dynamic_range),
-        "at_search_boundary": point.at_search_boundary,
-    }
+    payload = {name: _json_float(value) if isinstance(value, float) else value
+               for name, value in asdict(point).items()}
     path = outdir / "optimal_point.json"
     _write_text(path, json.dumps(payload, indent=2) + "\n")
     return [path]
@@ -147,32 +144,33 @@ def _cmd_optimal_point(args, config: ToolConfig, outdir: Path) -> list[Path]:
 def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
     f_values = np.linspace(args.fq_min_ghz, args.fq_max_ghz, args.fq_points) * 1e9
     phi_values = np.linspace(0.0, OPERATIONAL_PHI_MAX, args.phi_points, endpoint=False)
-    if args.temps is None:
-        temps_mk = [config.design.temperature * 1e3]
-    else:
-        temps_mk = _comma_floats(args.temps)
+    temps_mk = args.temps or [config.design.temperature * 1e3]
     scan = ridge_scan(config.design, f_values, phi_values,
                       np.asarray(temps_mk) * 1e-3)
 
-    # Each frequency and flux is formatted once; each cell formats its value.
-    f_text = [f"{f / 1e9:.9g}," for f in f_values.tolist()]
-    phi_text = [f"{phi:.9g}," for phi in phi_values.tolist()]
-    paths = []
-    maxima = ["temperature_mk,fq_max_ghz,ridge_phi,ridge_sensitivity_per_phi0"]
-    for t_index, t_mk in enumerate(temps_mk):
-        surface = scan.surface[t_index]
-        rows, cols = np.nonzero(~np.isnan(surface))
-        cells = zip(rows.tolist(), cols.tolist(), surface[rows, cols].tolist())
-        lines = ["fq_max_ghz,phi,sensitivity_per_phi0"]
-        lines += [f"{f_text[i]}{phi_text[j]}{value:.9g}" for i, j, value in cells]
+    # Each frequency and flux is formatted once, into the row template of every
+    # cell; each NaN mask keeps its cells' rows as one template.
+    f_ghz = f_values / 1e9
+    f_text = [f"{f:.9g}," for f in f_ghz.tolist()]
+    phi_rows = [f"{phi:.9g},%.9g\r\n" for phi in phi_values.tolist()]
+    cells = [f + row for f in f_text for row in phi_rows]
+    paths, valid = [], None
+    for t_mk, surface in zip(temps_mk, scan.surface):
+        mask = ~np.isnan(surface)
+        if valid is None or not np.array_equal(mask, valid):
+            valid = mask
+            body = "".join(itertools.compress(cells, valid.ravel().tolist()))
         path = outdir / f"ridge_surface_{t_mk:g}mk.csv"
-        _write_text(path, "\r\n".join(lines) + "\r\n")
+        _write_text(path, _csvtext.fill("fq_max_ghz,phi,sensitivity_per_phi0", body,
+                                        surface[valid].tolist()))
         paths.append(path)
-        ridge = zip(f_text, scan.ridge_phi[t_index].tolist(), scan.ridge_value[t_index].tolist())
-        maxima += [f"{t_mk:.9g},{f}{phi:.9g},{value:.9g}" for f, phi, value in ridge]
 
+    columns = [np.repeat(temps_mk, len(f_ghz)).tolist(), np.tile(f_ghz, len(temps_mk)).tolist(),
+               scan.ridge_phi.ravel().tolist(), scan.ridge_value.ravel().tolist()]
     path = outdir / "ridge_maxima.csv"
-    _write_text(path, "\r\n".join(maxima) + "\r\n")
+    _write_text(path, _csvtext.table(
+        "temperature_mk,fq_max_ghz,ridge_phi,ridge_sensitivity_per_phi0",
+        "%.9g,%.9g,%.9g,%.9g", columns))
     paths.append(path)
     return paths
 
@@ -235,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("rates", parents=[common], help="decoherence rates table")
-    p.add_argument("--phi", default="0,0.2,0.4", help="comma-separated flux biases (Phi_0 units)")
+    p.add_argument("--phi", type=_comma_floats, default="0,0.2,0.4",
+                   help="comma-separated flux biases (Phi_0 units)")
 
     sub.add_parser("optimal-point", parents=[common], help="optimal flux and delay")
 
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fq-max-ghz", type=float, default=20.0)
     p.add_argument("--fq-points", type=_count, default=50)
     p.add_argument("--phi-points", type=_count, default=200)
-    p.add_argument("--temps", help="comma-separated temperatures in mK")
+    p.add_argument("--temps", type=_comma_floats, help="comma-separated temperatures in mK")
 
     p = sub.add_parser("calibration", parents=[common], help="fringe pattern CSV")
     p.add_argument("--n-qubits", type=int, choices=(1, 2, 3))
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("desk", "full"),
                    help="campaign scale (desk: 32 targets x 8 runs; full: 256 x 24)")
     p.add_argument("--no-decoherence", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_count, default=1, help="worker processes")
 
     sub.add_parser("inductance", parents=[common], help="bias-line inductances JSON")
     return parser
@@ -315,9 +314,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _run(args)
-    except _UsageError as exc:
-        _emit_error("usage", str(exc), EXIT_CONFIG)
-        return EXIT_CONFIG
     except ConfigError as exc:
         _emit_error("config", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvtext
 from .qubit import (
     FluxBias,
     SensorDesign,
@@ -126,7 +127,5 @@ def rates_table(design: SensorDesign, phi_values) -> str:
     phis = np.asarray(phi_values, dtype=float)
     _require_operational(phis)
     channels = channel_rates(design, phis)[:6]
-    lines = [",".join(RATES_TABLE_HEADER)]
-    lines += [",".join(f"{v:.9g}" for v in row)
-              for row in zip(phis.tolist(), *((c / 1e3).tolist() for c in channels))]
-    return "\r\n".join(lines) + "\r\n"
+    return _csvtext.table(",".join(RATES_TABLE_HEADER), ",".join(["%.9g"] * 7),
+                          [phis.tolist(), *((c / 1e3).tolist() for c in channels)])

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import decoherence
+from . import _csvtext, decoherence
 from .qubit import (
     FluxBias,
     SensorDesign,
@@ -167,6 +167,4 @@ def pattern_grid(evaluator: FringeEvaluator, phi_values, tau: float,
     """Fringe pattern over a flux grid as CSV text: phi_ext,probability."""
     phis = np.asarray(phi_values, dtype=float)
     probs = np.atleast_1d(evaluator.probability_excited(phis, tau, theta))
-    lines = ["phi_ext,probability"]
-    lines += [f"{phi:.9g},{p:.9g}" for phi, p in zip(phis.tolist(), probs.tolist())]
-    return "\r\n".join(lines) + "\r\n"
+    return _csvtext.table("phi_ext,probability", "%.9g,%.9g", [phis.tolist(), probs.tolist()])

@@ -36,7 +36,6 @@ independent of execution order or worker count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvtext
 from .fringes import FringeEvaluator
 from .optimizer import dynamic_range, optimal_delay
 from .qubit import FluxBias, SensorDesign
@@ -101,6 +101,9 @@ class PeaConfig:
             value = getattr(self, name)
             if not (_is_integer(value) or name == "grid_size" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.decoherence_enabled, bool):
+            raise ValueError(f"decoherence_enabled must be true or false, "
+                             f"got {self.decoherence_enabled!r}")
         # The float checks are written so that NaN and +-inf fail them.
         if self.n_qubits not in GRID_SIZES:
             raise ValueError(f"n_qubits must be one of {sorted(GRID_SIZES)}")
@@ -649,35 +652,19 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
 
 def aggregate_report(result: CampaignResult) -> str:
     """Per-step campaign summary as CSV text."""
-    columns = zip(
-        range(1, result.config.n_steps + 1),
-        result.tau_bar.tolist(),
-        result.accuracy.tolist(),
-        result.mean_counts.tolist(),
-        result.mean_delays.tolist(),
-        result.cap_hits.mean(axis=(0, 1)).tolist(),
-        result.retained.mean(axis=(0, 1)).tolist(),
-    )
-    lines = ["step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s,"
-             "cap_hit_frac,truth_retained_frac"]
-    lines += [f"{i},{tau:.9g},{acc:.9g},{n:.9g},{delay:.9g},{cap:.9g},{kept:.9g}"
-              for i, tau, acc, n, delay, cap, kept in columns]
-    return "\r\n".join(lines) + "\r\n"
+    fields = (result.tau_bar, result.accuracy, result.mean_counts, result.mean_delays,
+              result.cap_hits.mean(axis=(0, 1)), result.retained.mean(axis=(0, 1)))
+    return _csvtext.table("step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s,"
+                          "cap_hit_frac,truth_retained_frac", "%d" + ",%.9g" * 6,
+                          [range(1, result.config.n_steps + 1), *(a.tolist() for a in fields)])
 
 
 def runs_report(result: CampaignResult) -> str:
     """Per-run, per-step detail as CSV text."""
-    f, m, steps = result.delays.shape
-    columns = zip(
-        itertools.product(range(f), range(m), range(1, steps + 1)),
-        result.delays.ravel().tolist(),
-        result.counts.ravel().tolist(),
-        result.estimates.ravel().tolist(),
-        result.cumulative_time.ravel().tolist(),
-        result.cap_hits.ravel().astype(int).tolist(),
-    )
-    lines = ["target_index,repetition,step,tau_s,n_measurements,"
-             "estimate_phi0,cumulative_time_s,cap_hit"]
-    lines += [f"{j},{k},{i},{tau:.9g},{n},{est:.9g},{t:.9g},{cap}"
-              for (j, k, i), tau, n, est, t, cap in columns]
-    return "\r\n".join(lines) + "\r\n"
+    index = np.indices(result.delays.shape).reshape(3, -1)
+    index[2] += 1  # steps count from 1
+    fields = (result.delays, result.counts, result.estimates, result.cumulative_time,
+              result.cap_hits.astype(int))
+    return _csvtext.table("target_index,repetition,step,tau_s,n_measurements,estimate_phi0,"
+                          "cumulative_time_s,cap_hit", "%d,%d,%d,%.9g,%d,%.9g,%.9g,%d",
+                          [*index.tolist(), *(a.ravel().tolist() for a in fields)])

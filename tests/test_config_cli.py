@@ -164,6 +164,14 @@ def test_config_from_dict_rejects_non_integers(field):
             config_from_dict(payload)
 
 
+def test_config_from_dict_rejects_non_bools():
+    for value in ("false", 2.5, 0, None):
+        payload = config_to_dict(parse_config(""))
+        payload["pea"]["decoherence_enabled"] = value
+        with pytest.raises(ValueError, match="decoherence_enabled"):
+            config_from_dict(payload)
+
+
 def test_every_dataclass_field_is_a_config_key():
     from fluxsense.config import _KEYS
 
@@ -301,18 +309,19 @@ def test_cli_config_error(tmp_path, capsys):
 
 
 def test_cli_usage_errors(tmp_path, capsys):
-    rc = main(["rates", "--phi", "abc", "--outdir", str(tmp_path)])
-    assert rc == EXIT_CONFIG
-    assert _stderr_error(capsys)["type"] == "usage"
     rc = main(["frobnicate"])
     assert rc == EXIT_CONFIG
     assert _stderr_error(capsys)["type"] == "usage"
-    # a point count below 1 is a usage error that names the flag and writes nothing
-    for command, flag, count in (("ridge", "--fq-points", "0"), ("ridge", "--phi-points", "0"),
+    # a count below 1 or an empty or malformed number list is a usage error
+    # that names the flag and writes nothing
+    for command, flag, value in (("ridge", "--fq-points", "0"), ("ridge", "--phi-points", "0"),
                                  ("ridge", "--fq-points", "-3"), ("calibration", "--points", "0"),
-                                 ("calibration", "--points", "-1")):
-        outdir = tmp_path / f"{command}{flag}{count}"
-        rc = main([command, flag, count, "--outdir", str(outdir)])
+                                 ("calibration", "--points", "-1"), ("pea", "--jobs", "0"),
+                                 ("pea", "--jobs", "-2"), ("rates", "--phi", "abc"),
+                                 ("rates", "--phi", ","), ("rates", "--phi", ""),
+                                 ("ridge", "--temps", ","), ("ridge", "--temps", "20,x")):
+        outdir = tmp_path / f"{command}{flag}{value}"
+        rc = main([command, flag, value, "--outdir", str(outdir)])
         assert rc == EXIT_CONFIG
         error = _stderr_error(capsys)
         assert error["type"] == "usage" and flag in error["message"]
@@ -482,6 +491,36 @@ def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points,
                              f"{scan.ridge_phi[t_index, i]:.9g}",
                              f"{scan.ridge_value[t_index, i]:.9g}"))
     assert (outdir / "ridge_maxima.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_cli_ridge_surface_follows_each_nan_mask(tmp_path, capsys, monkeypatch):
+    # Surfaces whose NaN cells differ between temperatures: each file keeps
+    # exactly its own non-NaN cells, in the csv.writer oracle's bytes
+    scans = []
+
+    def scan_with_holes(*args):
+        scan = ridge_scan(*args)
+        scan.surface[1, 0, :5] = np.nan
+        scan.surface[2, 1, 3] = np.nan
+        scans.append(scan)
+        return scan
+
+    monkeypatch.setattr(cli, "ridge_scan", scan_with_holes)
+    temps = (20, 40, 75, 90)
+    rc = main(["ridge", "--fq-points", "3", "--phi-points", "10",
+               "--temps", ",".join(map(str, temps)), "--outdir", str(tmp_path)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    (scan,) = scans
+    for t, surface in zip(temps, scan.surface):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(("fq_max_ghz", "phi", "sensitivity_per_phi0"))
+        for (i, j), value in np.ndenumerate(surface):
+            if not np.isnan(value):
+                writer.writerow((f"{scan.f_q_max_values[i] / 1e9:.9g}",
+                                 f"{scan.phi_values[j]:.9g}", f"{value:.9g}"))
+        assert (tmp_path / f"ridge_surface_{t}mk.csv").read_bytes() == buf.getvalue().encode()
 
 
 TINY_PEA_CFG = (
