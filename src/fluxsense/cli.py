@@ -45,7 +45,7 @@ from .decoherence import rates_table
 from .fringes import FringeEvaluator, pattern_grid
 from .magnetostatics import mutual_inductances
 from .optimizer import dynamic_range, find_optimal_flux, ridge_scan
-from .pea import DESK_PRESET, FULL_PRESET, aggregate_report, run_campaign, runs_report
+from .pea import DESK_PRESET, FULL_PRESET, GRID_SIZES, aggregate_report, run_campaign, runs_report
 from .qubit import OPERATIONAL_PHI_MAX, FluxBias
 
 OUTPUT_DIR_ENV = "FLUXSENSE_OUTDIR"
@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+_PRESETS = {"desk": DESK_PRESET, "full": FULL_PRESET}
+_SURFACE_NAME = "ridge_surface_{:g}mk.csv"
 
 
 class _UsageError(Exception):
@@ -72,7 +75,6 @@ class RunManifest:
 
     subcommand: str
     tool_version: str
-    master_seed: int
     config: ToolConfig
     output_files: tuple[str, ...]
     wall_seconds: float
@@ -107,6 +109,14 @@ def _comma_floats(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     return values
+
+
+def _temperatures(text: str) -> list[float]:
+    """Temperatures in mK (see _comma_floats), each with its own surface file."""
+    temps = _comma_floats(text)
+    if len({_SURFACE_NAME.format(t) for t in temps}) < len(temps):
+        raise argparse.ArgumentTypeError(f"temperatures {text!r} repeat a surface file name")
+    return temps
 
 
 def _count(text: str) -> int:
@@ -160,7 +170,7 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
         if valid is None or not np.array_equal(mask, valid):
             valid = mask
             body = "".join(itertools.compress(cells, valid.ravel().tolist()))
-        path = outdir / f"ridge_surface_{t_mk:g}mk.csv"
+        path = outdir / _SURFACE_NAME.format(t_mk)
         _write_text(path, _csvtext.fill("fq_max_ghz,phi,sensitivity_per_phi0", body,
                                         surface[valid].tolist()))
         paths.append(path)
@@ -223,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="configuration file (key = value lines)")
     common.add_argument("--outdir", metavar="DIR", help="output directory")
-    common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--manifest", action="store_true", help="also write a run manifest JSON")
 
     parser = _Parser(prog="fluxsense",
@@ -243,18 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fq-max-ghz", type=float, default=20.0)
     p.add_argument("--fq-points", type=_count, default=50)
     p.add_argument("--phi-points", type=_count, default=200)
-    p.add_argument("--temps", type=_comma_floats, help="comma-separated temperatures in mK")
+    p.add_argument("--temps", type=_temperatures, help="comma-separated temperatures in mK")
 
     p = sub.add_parser("calibration", parents=[common], help="fringe pattern CSV")
-    p.add_argument("--n-qubits", type=int, choices=(1, 2, 3))
+    p.add_argument("--n-qubits", type=int, choices=tuple(GRID_SIZES))
     p.add_argument("--tau-ns", type=float, help="delay in ns (default: tau_min)")
     p.add_argument("--theta", type=float, default=0.0, help="measurement phase, rad")
     p.add_argument("--points", type=_count, default=512)
 
     p = sub.add_parser("pea", parents=[common], help="phase-estimation campaign")
-    p.add_argument("--n-qubits", type=int, choices=(1, 2, 3))
-    p.add_argument("--preset", choices=("desk", "full"),
-                   help="campaign scale (desk: 32 targets x 8 runs; full: 256 x 24)")
+    p.add_argument("--seed", type=int, help="override the master seed")
+    p.add_argument("--n-qubits", type=int, choices=tuple(GRID_SIZES))
+    p.add_argument("--preset", choices=_PRESETS, help="campaign scale (" + "; ".join(
+        f"{name}: {preset['n_flux_targets']} targets x {preset['n_repetitions']} runs"
+        for name, preset in _PRESETS.items()) + ")")
     p.add_argument("--no-decoherence", action="store_true")
     p.add_argument("--jobs", type=_count, default=1, help="worker processes")
 
@@ -265,19 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     started = time.perf_counter()
     config = load_config(args.config) if args.config else parse_config("")
-    # Every flag that sets a PeaConfig field; calibration's --n-qubits is its own.
-    overrides = {} if args.seed is None else {"master_seed": args.seed}
+    # pea's flags set PeaConfig fields; calibration's --n-qubits is its own.
     if args.subcommand == "pea":
-        if args.preset is not None:
-            overrides.update(DESK_PRESET if args.preset == "desk" else FULL_PRESET)
+        overrides = dict(_PRESETS.get(args.preset, {}))
+        if args.seed is not None:
+            overrides["master_seed"] = args.seed
         if args.n_qubits is not None:
             overrides["n_qubits"] = args.n_qubits
         if args.no_decoherence:
             overrides["decoherence_enabled"] = False
-    try:
-        config = replace(config, pea=replace(config.pea, **overrides))
-    except ValueError as exc:
-        raise ConfigError(f"invalid options for this configuration: {exc}") from exc
+        try:
+            config = replace(config, pea=replace(config.pea, **overrides))
+        except ValueError as exc:
+            raise ConfigError(f"invalid options for this configuration: {exc}") from exc
 
     outdir = Path(args.outdir or os.environ.get(OUTPUT_DIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -290,7 +301,6 @@ def _run(args) -> int:
         manifest = RunManifest(
             subcommand=args.subcommand,
             tool_version=__version__,
-            master_seed=config.pea.master_seed,
             config=config,
             output_files=tuple(str(p) for p in outputs),
             wall_seconds=time.perf_counter() - started,

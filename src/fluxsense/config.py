@@ -102,8 +102,6 @@ _ALIASES = {
     "temperature_mk": ("temperature", 1e-3),
     "tau_min_ns": ("tau_min", 1e-9),
     "x_a_um": ("x_a", 1e-6),
-    "feed_width_um": ("feed_width", 1e-6),
-    "arm_width_um": ("arm_width", 1e-6),
 }
 
 

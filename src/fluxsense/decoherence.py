@@ -5,8 +5,7 @@ resonator and by inductive / capacitive coupling into the control
 wiring.  Pure dephasing comes from 1/f flux noise (a Gaussian decay
 from the first flux derivative and a time-linear decay from the second)
 and from 1/f critical-current noise.  Quasiparticle and dielectric
-contributions are negligible for this design and carried as explicit
-zeros.
+contributions are negligible for this design and left out.
 
 Every rate is returned in 1/s.  Tabulated output converts to kHz by
 dividing by 1000 (no 2 pi).
@@ -58,8 +57,6 @@ class DecayRates:
     gamma_phi_curr_gauss: float
     envelope_a: float
     envelope_b: float
-    gamma1_qp: float = 0.0    # quasiparticle channel, negligible here
-    gamma1_diel: float = 0.0  # dielectric channel, negligible here
 
 
 def channel_rates(design: SensorDesign, phi) -> tuple:
@@ -80,6 +77,11 @@ def channel_rates(design: SensorDesign, phi) -> tuple:
     a = (cav + ind + cap) / 2.0 + fl_exp
     b = np.hypot(fl_gauss, curr)
     return cav, ind, cap, fl_exp, fl_gauss, curr, a, b
+
+
+def _envelope(a, b, tau, n_qubits):
+    """Fringe decay exp(-N (A tau + B^2 tau^2)), elementwise."""
+    return np.exp(-n_qubits * (a * tau + b * b * tau * tau))
 
 
 def composite_rates(design: SensorDesign, bias: FluxBias) -> DecayRates:

@@ -80,8 +80,7 @@ class FringeEvaluator:
 
     def envelope(self, tau: float) -> float:
         """Decay envelope exp(-N (A tau + B^2 tau^2)) at delay tau."""
-        a, b = self.envelope_rates
-        return float(np.exp(-self.n_qubits * (a * tau + b * b * tau * tau)))
+        return float(decoherence._envelope(*self.envelope_rates, tau, self.n_qubits))
 
     def probability_excited(self, phi_ext, tau: float, theta: float = 0.0):
         """Excited-state probability after one fringe cycle.

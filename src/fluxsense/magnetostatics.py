@@ -83,23 +83,15 @@ _DEFAULT_GAP = (
 
 @dataclass(frozen=True)
 class BiasLineGeometry:
-    """Bias line layout and the loop areas that receive its flux.
-
-    ``feed_width`` and ``arm_width`` document the physical conductor
-    widths (5 and 2 um); the field model itself uses the thin-wire
-    limit.
-    """
+    """Bias line layout and the loop areas that receive its flux."""
 
     x_a: float = 24e-6
-    feed_width: float = 5e-6
-    arm_width: float = 2e-6
     squid_patches: tuple[FluxPatch, ...] = _DEFAULT_SQUID
     gap_patches: tuple[FluxPatch, ...] = _DEFAULT_GAP
 
     def __post_init__(self) -> None:
-        for name in ("x_a", "feed_width", "arm_width"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN and +-inf fail too
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 < self.x_a < math.inf:  # NaN and +-inf fail too
+            raise ValueError(f"x_a must be positive and finite, got {self.x_a}")
         if not self.squid_patches:
             raise ValueError("at least one SQUID patch is required")
 

@@ -104,7 +104,7 @@ def sensitivity_array(design: SensorDesign, phi, n_qubits: int = 1, tau=None) ->
     slope = np.abs(_d_omega_d_phi(design, phi))
     n = n_qubits
     with np.errstate(invalid="ignore"):  # inf * 0 where the delay is unbounded
-        s = 0.5 * n * tau * vis * np.exp(-n * (a * tau + b * b * tau * tau)) * slope
+        s = 0.5 * n * tau * vis * decoherence._envelope(a, b, tau, n) * slope
     return np.where(inside & (f_q > 0), s, np.nan)
 
 

@@ -45,14 +45,14 @@ import numpy as np
 
 from . import _csvtext
 from .fringes import FringeEvaluator
-from .optimizer import dynamic_range, optimal_delay
+from .optimizer import DEFAULT_TAU_MIN, dynamic_range, optimal_delay
 from .qubit import FluxBias, SensorDesign
 
-# Candidate grid sizes for the standard sensors: chosen so all three
-# grids share one spacing (the N=1 range divided 6144-fold) and the
-# N=2, N=3 grids are prefixes of the N=1 grid.
-GRID_SIZES = {1: 6144, 2: 3072, 3: 2048}
-TARGET_GRID_SIZE = 2048  # campaign targets live on the N=3 grid
+# Candidate grid sizes for the standard sensors: the N-qubit range is the
+# N=1 range over N, so all three grids share one spacing (the N=1 range
+# divided 6144-fold) and the N=2, N=3 grids are prefixes of the N=1 grid.
+GRID_SIZES = {n: 6144 // n for n in (1, 2, 3)}
+TARGET_GRID_SIZE = GRID_SIZES[3]  # campaign targets live on the N=3 grid
 
 DESK_PRESET = {"n_flux_targets": 32, "n_repetitions": 8}
 FULL_PRESET = {"n_flux_targets": 256, "n_repetitions": 24}
@@ -84,13 +84,13 @@ class PeaConfig:
     """Parameters of one phase-estimation run or campaign."""
 
     n_qubits: int = 1
-    tau_min: float = 100e-9
+    tau_min: float = DEFAULT_TAU_MIN
     sigma0: float = 1.0
     sigma1: float = 1.0
     epsilon: float = 1e-4
     n_steps: int = 9
-    n_flux_targets: int = 256
-    n_repetitions: int = 24
+    n_flux_targets: int = FULL_PRESET["n_flux_targets"]
+    n_repetitions: int = FULL_PRESET["n_repetitions"]
     master_seed: int = DEFAULT_MASTER_SEED
     decoherence_enabled: bool = True
     measurement_cap: int = 10_000
@@ -384,16 +384,9 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     posterior after every readout of the block.  Hitting the measurement
     cap is recorded, not fatal.
 
-    The exact window test takes two prefix sums over every row it sees.
-    On the grids _screen_blocks picks, it sees only the rows that pass a
-    screen of two matrix products: the block rows (summed into
-    _SCREEN_BLOCKS equal blocks on wide grids) times _screen_matrix give
-    each window's mass, or each run of _SCREEN_BLOCKS/2 + 1 blocks' mass,
-    less (1 - _SCREEN_SLACK)(1 - epsilon) of the row's, and times ones
-    give the row's mass.  A row passes when one of them is not negative.
-    Every window of m/2 candidates lies inside such a run and no cell is
-    negative, so the rows screened out cannot decide (the slack covers
-    the rounding of the products).
+    On the grids _screen_blocks picks, the exact window test sees only
+    the rows that pass _window_screen, which cannot turn away a row that
+    decides (see the module docstring).
 
     The block buffers are views of ``workspace``, a 1-D float64 array
     (run_single sizes one with _workspace_cells) that the step writes
@@ -621,7 +614,8 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
     """Estimate every target n_repetitions times and aggregate.
 
     ``n_jobs`` > 1 distributes (target, repetition) pairs over worker
-    processes; results are identical to the serial path.
+    processes, no more than there are chunks of pairs; results are
+    identical to the serial path.
     """
     targets = campaign_targets(design, bias, config)
     f, m, steps = config.n_flux_targets, config.n_repetitions, config.n_steps
@@ -629,8 +623,9 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
             for j in range(f) for k in range(m)]
     # Both maps keep job order, which is [target, repetition] order.
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            runs = list(pool.map(_campaign_worker, jobs, chunksize=8))
+        chunk = 8  # pairs a worker takes at a time
+        with ProcessPoolExecutor(max_workers=min(n_jobs, -(-len(jobs) // chunk))) as pool:
+            runs = list(pool.map(_campaign_worker, jobs, chunksize=chunk))
     else:
         runs = list(map(_campaign_worker, jobs))
     traces = {name: np.array([getattr(run, name) for run in runs]).reshape(f, m, steps)

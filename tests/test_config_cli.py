@@ -106,7 +106,7 @@ def test_pea_and_bias_keys():
     ("squid_rect1 = 1, 2, 3\n", "x1, x2, y1, y2"),
     ("z0 = 50\ntemperature_mk = -1\n", "line 2: temperature_mk"),
     ("master_seed = -3\n", "line 1: master_seed"),
-    ("feed_width_um = -5\n", "line 1: feed_width_um"),
+    ("feed_width_um = -5\n", "line 1: unknown key"),
     ("bias_phi = 0.7\n", "line 1: bias_phi"),
     ("bias_phi = 0.4999\n", "line 1: bias_phi"),
     ("squid_rect1 = 1e-6, inf, 8e-6, 9e-6\n", "line 1: squid_rect1"),
@@ -120,7 +120,7 @@ def test_config_errors(text, fragment):
 
 @pytest.mark.parametrize("section,field,value", [
     ("pea", "master_seed", -3),
-    ("geometry", "feed_width", -1.0),
+    ("geometry", "x_a", -1.0),
     (None, "bias_phi", 0.7),
 ])
 def test_config_from_dict_validates(section, field, value):
@@ -231,23 +231,23 @@ def test_manifest_round_trip():
     manifest = RunManifest(
         subcommand="rates",
         tool_version="0.1.0",
-        master_seed=42,
-        config=parse_config("n_qubits = 2\n"),
+        config=parse_config("n_qubits = 2\nmaster_seed = 42\n"),
         output_files=("a.csv", "b.json"),
         wall_seconds=1.25,
     )
-    assert manifest_from_json(manifest_to_json(manifest)) == manifest
+    restored = manifest_from_json(manifest_to_json(manifest))
+    assert restored == manifest
+    assert restored.config.pea.master_seed == 42
     assert manifest_to_json(manifest) == _manifest_oracle(
-        "rates", "0.1.0", 42, parse_config("n_qubits = 2\n"), ["a.csv", "b.json"], 1.25)
+        "rates", "0.1.0", parse_config("n_qubits = 2\nmaster_seed = 42\n"),
+        ["a.csv", "b.json"], 1.25)
 
 
-def _manifest_oracle(subcommand, tool_version, master_seed, config, output_files,
-                     wall_seconds):
+def _manifest_oracle(subcommand, tool_version, config, output_files, wall_seconds):
     """Manifest text rendered field by field."""
     payload = {
         "subcommand": subcommand,
         "tool_version": tool_version,
-        "master_seed": master_seed,
         "config": config_to_dict(config),
         "output_files": list(output_files),
         "wall_seconds": wall_seconds,
@@ -270,11 +270,11 @@ def test_cli_rates_manifest(tmp_path, capsys):
     text = (tmp_path / "rates_manifest.json").read_text()
     manifest = manifest_from_json(text)
     assert manifest.subcommand == "rates"
-    assert manifest.master_seed == 20240917
+    assert manifest.config.pea.master_seed == 20240917
     assert manifest.config == parse_config("")
     assert manifest.output_files == (str(tmp_path / "rates.csv"),)
     assert manifest.wall_seconds >= 0.0
-    assert text == _manifest_oracle("rates", cli.__version__, 20240917, parse_config(""),
+    assert text == _manifest_oracle("rates", cli.__version__, parse_config(""),
                                     [str(tmp_path / "rates.csv")],
                                     manifest.wall_seconds) + "\n"
 
@@ -319,7 +319,9 @@ def test_cli_usage_errors(tmp_path, capsys):
                                  ("calibration", "--points", "-1"), ("pea", "--jobs", "0"),
                                  ("pea", "--jobs", "-2"), ("rates", "--phi", "abc"),
                                  ("rates", "--phi", ","), ("rates", "--phi", ""),
-                                 ("ridge", "--temps", ","), ("ridge", "--temps", "20,x")):
+                                 ("ridge", "--temps", ","), ("ridge", "--temps", "20,x"),
+                                 ("ridge", "--temps", "20,20.0000001"),
+                                 ("ridge", "--temps", "20,20"), ("rates", "--seed", "5")):
         outdir = tmp_path / f"{command}{flag}{value}"
         rc = main([command, flag, value, "--outdir", str(outdir)])
         assert rc == EXIT_CONFIG
@@ -546,7 +548,7 @@ def test_cli_pea_reproducible(tmp_path, capsys):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     manifest = manifest_from_json((dir_a / "pea_manifest.json").read_text())
     assert manifest.subcommand == "pea"
-    assert manifest.master_seed == 20240917
+    assert manifest.config.pea.master_seed == 20240917
     assert manifest.config.pea.grid_size == 64
     assert manifest.config.pea.decoherence_enabled is False
     steps = (dir_a / "pea_steps.csv").read_text().splitlines()
@@ -561,7 +563,6 @@ def test_cli_pea_seed_override(tmp_path, capsys):
     assert rc == EXIT_OK
     capsys.readouterr()
     manifest = manifest_from_json((tmp_path / "pea_manifest.json").read_text())
-    assert manifest.master_seed == 99
     assert manifest.config.pea.master_seed == 99
 
 

@@ -122,8 +122,6 @@ def test_composite_rates_envelope():
     b = math.hypot(r.gamma_phi_flux_gauss, r.gamma_phi_curr_gauss)
     assert r.envelope_a == pytest.approx(a, rel=1e-12)
     assert r.envelope_b == pytest.approx(b, rel=1e-12)
-    assert r.gamma1_qp == 0.0
-    assert r.gamma1_diel == 0.0
 
 
 def test_composite_rates_all_channels_off():

@@ -604,6 +604,34 @@ def test_campaign_parallel_matches_serial():
     assert np.array_equal(serial.cumulative_time, parallel.cumulative_time)
 
 
+def test_campaign_pool_bounded_by_chunks(monkeypatch):
+    # An in-process stand-in for the pool: it records the worker count it
+    # is asked for and maps serially, so no process is started.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(pea, "ProcessPoolExecutor", SerialPool)
+    runs = CAPPED_CAMPAIGN.n_flux_targets * CAPPED_CAMPAIGN.n_repetitions
+    pooled = run_campaign(DESIGN, BIAS, CAPPED_CAMPAIGN, n_jobs=10_000)
+    assert requested == [-(-runs // 8)]
+    serial = run_campaign(DESIGN, BIAS, CAPPED_CAMPAIGN, n_jobs=1)
+    assert len(requested) == 1
+    assert np.array_equal(serial.estimates, pooled.estimates)
+    assert np.array_equal(serial.counts, pooled.counts)
+
+
 def test_campaign_accuracy_definition():
     result = run_campaign(DESIGN, BIAS, TINY_CAMPAIGN)
     errors = result.estimates - result.targets[:, None, None]
