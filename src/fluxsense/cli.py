@@ -56,7 +56,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _PRESETS = {"desk": DESK_PRESET, "full": FULL_PRESET}
-_SURFACE_NAME = "ridge_surface_{:g}mk.csv"
+_SURFACE_NAME = "ridge_surface_{:.9g}mk.csv"  # the digits ridge_maxima.csv prints
 
 
 class _UsageError(Exception):

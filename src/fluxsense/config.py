@@ -14,11 +14,11 @@ scaled into SI; setting both spellings of one field is an error.
 ``kappa_mhz`` and ``delta_ghz`` take plain linewidth/detuning
 frequencies and are converted to angular rates.
 
-The bias-line patches are set as rectangles ``squid_rect<i>`` and
-``gap_rect<i>`` (meters, or ``_um`` variants), i = 1..8: comma-separated
-``x1, x2, y1, y2`` with an optional fifth entry ``orientation``
-(+1 or -1); providing any ``squid_rect<i>`` (or ``gap_rect<i>``)
-replaces the entire default rectangle set of that group.
+The bias-line patch groups ``squid_patches`` and ``gap_patches`` (meters,
+or the ``_um`` aliases) take ``;``-separated rectangles, each
+``x1, x2, y1, y2`` with an optional fifth entry ``orientation`` (+1 or
+-1; a unit alias scales the corners only).  Setting a group replaces
+its whole default rectangle set.
 
 Only the dataclasses check ranges, finiteness included, so a value
 meets the same rules however it arrives.  A rejected configuration is
@@ -28,6 +28,7 @@ defaults; a conflict between lines that pass alone has no line number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import get_type_hints
@@ -37,8 +38,6 @@ from .pea import PeaConfig
 from .qubit import FluxBias, SensorDesign
 
 DEFAULT_BIAS_PHI = 0.442  # operating point of the reference sensor
-
-_MAX_RECTANGLES = 8
 
 
 class ConfigError(ValueError):
@@ -74,17 +73,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean (true/false), got {text!r}")
 
 
-def _parse_rect(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) not in (4, 5):
-        raise ValueError("expected 'x1, x2, y1, y2[, orientation]'")
-    return tuple(float(p) for p in parts)
+def _parse_float(text: str, scale: float = 1.0) -> float:
+    return float(text) * scale
 
 
-_PARSERS = {float: float, int: _parse_int, int | None: _parse_int, bool: _parse_bool}
+def _parse_patches(text: str, scale: float = 1.0) -> tuple[FluxPatch, ...]:
+    patches = []
+    for rect in text.split(";"):
+        parts = rect.split(",")
+        if len(parts) not in (4, 5):
+            raise ValueError("expected ';'-separated 'x1, x2, y1, y2[, orientation]' rectangles")
+        values = [float(part) for part in parts]
+        patches.append(FluxPatch(*(v * scale for v in values[:4]), *values[4:]))
+    return tuple(patches)
 
-# Rectangle key prefix -> the BiasLineGeometry field its patches replace.
-_RECT_GROUPS = {"squid_rect": "squid_patches", "gap_rect": "gap_patches"}
+
+_PATCHES = tuple[FluxPatch, ...]
+_PARSERS = {float: _parse_float, int: _parse_int, int | None: _parse_int, bool: _parse_bool,
+            _PATCHES: _parse_patches}
 
 # Unit-suffixed alias -> (canonical key, factor into SI units).
 _ANGULAR_MHZ = 2 * math.pi * 1e6
@@ -102,28 +108,26 @@ _ALIASES = {
     "temperature_mk": ("temperature", 1e-3),
     "tau_min_ns": ("tau_min", 1e-9),
     "x_a_um": ("x_a", 1e-6),
+    "squid_patches_um": ("squid_patches", 1e-6),
+    "gap_patches_um": ("gap_patches", 1e-6),
 }
 
 
-def _derive_keys() -> tuple[dict[str, type], dict[str, tuple[tuple[str, ...], object, float]]]:
-    """ToolConfig's dataclass sections, and key -> (path in config_to_dict form, parser, scale)."""
+def _derive_keys() -> tuple[dict[str, type], dict[str, tuple[tuple[str, ...], object]]]:
+    """ToolConfig's dataclass sections, and key -> (path in config_to_dict form, parser)."""
     sections: dict[str, type] = {}
-    keys: dict[str, tuple[tuple[str, ...], object, float]] = {}
+    keys: dict[str, tuple[tuple[str, ...], object]] = {}
     for outer, outer_type in get_type_hints(ToolConfig).items():
         if not is_dataclass(outer_type):
-            keys[outer] = ((outer,), _PARSERS[outer_type], 1.0)
+            keys[outer] = ((outer,), _PARSERS[outer_type])
             continue
         sections[outer] = outer_type
         hints = get_type_hints(outer_type)
         for field in fields(outer_type):
-            if field.name not in _RECT_GROUPS.values():
-                keys[field.name] = ((outer, field.name), _PARSERS[hints[field.name]], 1.0)
+            keys[field.name] = ((outer, field.name), _PARSERS[hints[field.name]])
     for alias, (canonical, scale) in _ALIASES.items():
-        keys[alias] = (*keys[canonical][:2], scale)
-    for prefix in _RECT_GROUPS:  # one slot per rectangle, gathered into the group's patches
-        for slot in (f"{prefix}{i}" for i in range(1, _MAX_RECTANGLES + 1)):
-            keys[slot] = (("geometry", slot), _parse_rect, 1.0)
-            keys[f"{slot}_um"] = (("geometry", slot), _parse_rect, 1e-6)
+        path, parser = keys[canonical]
+        keys[alias] = (path, functools.partial(parser, scale=scale))
     return sections, keys
 
 
@@ -151,15 +155,6 @@ def _scan_lines(text: str) -> dict[str, tuple[int, str]]:
     return assignments
 
 
-def _patch_from_rect(values: tuple[float, ...], scale: float, key: str, lineno: int) -> FluxPatch:
-    coords = tuple(v * scale for v in values[:4])
-    orientation = values[4] if len(values) == 5 else 1.0
-    try:
-        return FluxPatch(*coords, orientation=orientation)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-
-
 def _assign(data: dict, path: tuple[str, ...], value) -> dict:
     *outer, name = path
     inner = data
@@ -178,10 +173,10 @@ def _build(data: dict) -> ToolConfig:
 def parse_config(text: str) -> ToolConfig:
     """Parse configuration text into a fully resolved ToolConfig."""
     first_key: dict[tuple[str, ...], str] = {}
+    data: dict = {}
     settings = []  # (path, value, key, line number), in line order
-    rects: dict[str, FluxPatch] = {}
     for key, (lineno, raw) in _scan_lines(text).items():
-        path, parser, scale = _KEYS[key]
+        path, parser = _KEYS[key]
         other = first_key.setdefault(path, key)
         if other != key:
             raise ConfigError(f"keys {other!r} and {key!r} both set the same parameter")
@@ -189,18 +184,8 @@ def parse_config(text: str) -> ToolConfig:
             value = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-        if parser is _parse_rect:
-            rects[path[-1]] = _patch_from_rect(value, scale, key, lineno)
-        else:
-            settings.append((path, value * scale if parser is float else value, key, lineno))
-
-    data: dict = {}
-    for path, value, _, _ in settings:
         _assign(data, path, value)
-    for prefix, target in _RECT_GROUPS.items():
-        provided = sorted(slot for slot in rects if slot.startswith(prefix))
-        if provided:
-            _assign(data, ("geometry", target), tuple(rects[slot] for slot in provided))
+        settings.append((path, value, key, lineno))
     try:
         return _build(data)
     except ValueError as exc:
@@ -226,6 +211,7 @@ def config_to_dict(config: ToolConfig) -> dict:
 def config_from_dict(data: dict) -> ToolConfig:
     """Inverse of config_to_dict; the dataclasses validate every value."""
     geometry = dict(data["geometry"])
-    for target in _RECT_GROUPS.values():
-        geometry[target] = tuple(FluxPatch(**entry) for entry in geometry[target])
+    for name, hint in get_type_hints(BiasLineGeometry).items():
+        if hint == _PATCHES:
+            geometry[name] = tuple(FluxPatch(**entry) for entry in geometry[name])
     return _build({**data, "geometry": geometry})

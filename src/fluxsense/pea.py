@@ -614,17 +614,18 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
     """Estimate every target n_repetitions times and aggregate.
 
     ``n_jobs`` > 1 distributes (target, repetition) pairs over worker
-    processes, no more than there are chunks of pairs; results are
-    identical to the serial path.
+    processes, no more than there are chunks of pairs, and runs serially
+    when that is one; results are identical to the serial path.
     """
     targets = campaign_targets(design, bias, config)
     f, m, steps = config.n_flux_targets, config.n_repetitions, config.n_steps
     jobs = [(design, bias, config, float(targets[j]), j, k)
             for j in range(f) for k in range(m)]
     # Both maps keep job order, which is [target, repetition] order.
-    if n_jobs > 1:
-        chunk = 8  # pairs a worker takes at a time
-        with ProcessPoolExecutor(max_workers=min(n_jobs, -(-len(jobs) // chunk))) as pool:
+    chunk = 8  # pairs a worker takes at a time
+    workers = min(n_jobs, -(-len(jobs) // chunk))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_campaign_worker, jobs, chunksize=chunk))
     else:
         runs = list(map(_campaign_worker, jobs))

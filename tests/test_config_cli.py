@@ -102,14 +102,19 @@ def test_pea_and_bias_keys():
     ("n_qubits = 4\n", "n_qubits"),
     ("kappa_mhz = abc\n", "line 1"),
     ("grid_size = 100\nn_steps = 9\n", "n_steps"),
-    ("squid_rect1 = 5, 1, 0, 2\n", "squid_rect1"),
-    ("squid_rect1 = 1, 2, 3\n", "x1, x2, y1, y2"),
+    ("squid_patches = 5, 1, 0, 2\n", "squid_patches: rectangle"),
+    ("squid_patches = 1, 2, 3\n", "squid_patches: expected"),
+    ("squid_patches = 1, 2, 3, 4; 1, 2\n", "line 1: squid_patches: expected"),
+    ("gap_patches_um = 1, 2, 3, 4;\n", "line 1: gap_patches_um: expected"),
+    ("gap_patches = 1, 2, 3, 4, 0\n", "line 1: gap_patches: orientation"),
+    ("gap_patches = 1, 2, 3, 4\ngap_patches_um = 1, 2, 3, 4\n", "both set the same"),
+    ("squid_rect1 = 1, 2, 3, 4\n", "line 1: unknown key 'squid_rect1'"),
     ("z0 = 50\ntemperature_mk = -1\n", "line 2: temperature_mk"),
     ("master_seed = -3\n", "line 1: master_seed"),
     ("feed_width_um = -5\n", "line 1: unknown key"),
     ("bias_phi = 0.7\n", "line 1: bias_phi"),
     ("bias_phi = 0.4999\n", "line 1: bias_phi"),
-    ("squid_rect1 = 1e-6, inf, 8e-6, 9e-6\n", "line 1: squid_rect1"),
+    ("squid_patches = 0, inf, 8, 9\n", "line 1: squid_patches"),
     ("kappa_mhz = 1e308\n", "line 1: kappa_mhz"),  # finite, but inf in rad/s
 ])
 def test_config_errors(text, fragment):
@@ -177,7 +182,7 @@ def test_every_dataclass_field_is_a_config_key():
 
     for cls in (SensorDesign, PeaConfig, BiasLineGeometry):
         for field in dataclasses.fields(cls):
-            if field.init and not field.name.endswith("_patches"):
+            if field.init:
                 assert field.name in _KEYS, f"{cls.__name__}.{field.name}"
 
 
@@ -198,16 +203,28 @@ def test_cross_field_conflict_has_no_line():
 
 def test_rectangle_overrides_replace_group():
     config = parse_config(
-        "squid_rect1_um = -10, 10, 5, 15\n"
-        "gap_rect1_um = 30, 50, 20, 120, 1\n"
-        "gap_rect2_um = -12, 8, 20, 120, -1\n"
+        "squid_patches_um = -10, 10, 5, 15\n"
+        "gap_patches_um = 30, 50, 20, 120, 1; -12, 8, 20, 120, -1\n"
     )
     assert len(config.geometry.squid_patches) == 1
     patch = config.geometry.squid_patches[0]
     assert (patch.x1, patch.x2, patch.y1, patch.y2) == pytest.approx(
         (-10e-6, 10e-6, 5e-6, 15e-6), rel=1e-12)
     assert len(config.geometry.gap_patches) == 2
-    assert config.geometry.gap_patches[1].orientation == -1.0
+    assert [p.orientation for p in config.geometry.gap_patches] == [1.0, -1.0]
+    assert config.geometry.gap_patches[1].x1 == pytest.approx(-12e-6, rel=1e-12)
+
+
+def _config_text(payload):
+    """Canonical ``key = value`` lines of a config_to_dict payload; rectangles joined by ';'."""
+    lines = []
+    for key, value in payload.items():
+        for name, leaf in value.items() if isinstance(value, dict) else [(key, value)]:
+            if isinstance(leaf, tuple):
+                leaf = "; ".join(", ".join(str(v) for v in patch.values()) for patch in leaf)
+            if leaf is not None:  # an unset optional field keeps its default
+                lines.append(f"{name} = {leaf}\n")
+    return "".join(lines)
 
 
 def test_config_dict_round_trip():
@@ -215,10 +232,19 @@ def test_config_dict_round_trip():
         "f_q_max_ghz = 7\n"
         "n_qubits = 3\n"
         "bias_phi = 0.41\n"
-        "squid_rect1_um = -10, 10, 5, 15\n"
+        "squid_patches_um = -10, 10, 5, 15\n"
     )
     payload = json.loads(json.dumps(config_to_dict(config)))
     assert config_from_dict(payload) == config
+    # config text written from the plain-data view parses back to the same config
+    default = parse_config("")
+    assert parse_config(_config_text(config_to_dict(default))) == default
+    # a group may hold any number of rectangles (nine here)
+    nine = "; ".join(f"{2 * i}, {2 * i + 1}, 8, 9, {(-1) ** i}" for i in range(-4, 5))
+    config = parse_config(f"squid_patches_um = {nine}\n")
+    assert len(config.geometry.squid_patches) == 9
+    assert parse_config(_config_text(config_to_dict(config))) == config
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_load_config(tmp_path):
@@ -287,9 +313,9 @@ def test_cli_config_error(tmp_path, capsys):
     assert _stderr_error(capsys)["type"] == "config"
     # a non-finite rectangle corner, and a flag value the configuration rejects
     rect = tmp_path / "rect.cfg"
-    rect.write_text("squid_rect1 = 1e-6, inf, 8e-6, 9e-6\n", encoding="utf-8")
+    rect.write_text("squid_patches = 1e-6, inf, 8e-6, 9e-6\n", encoding="utf-8")
     for argv, fragment, written in (
-        (["inductance", "--config", str(rect)], "line 1: squid_rect1", "inductance.json"),
+        (["inductance", "--config", str(rect)], "line 1: squid_patches", "inductance.json"),
         (["pea", "--seed", "-1"], "master_seed", "pea_steps.csv"),
     ):
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -320,7 +346,7 @@ def test_cli_usage_errors(tmp_path, capsys):
                                  ("pea", "--jobs", "-2"), ("rates", "--phi", "abc"),
                                  ("rates", "--phi", ","), ("rates", "--phi", ""),
                                  ("ridge", "--temps", ","), ("ridge", "--temps", "20,x"),
-                                 ("ridge", "--temps", "20,20.0000001"),
+                                 ("ridge", "--temps", "20,20.00000001"),
                                  ("ridge", "--temps", "20,20"), ("rates", "--seed", "5")):
         outdir = tmp_path / f"{command}{flag}{value}"
         rc = main([command, flag, value, "--outdir", str(outdir)])
@@ -328,6 +354,17 @@ def test_cli_usage_errors(tmp_path, capsys):
         error = _stderr_error(capsys)
         assert error["type"] == "usage" and flag in error["message"]
         assert not outdir.exists()
+    # surfaces are named by the nine digits ridge_maxima.csv prints, so
+    # temperatures that differ within them get a surface each
+    for temps, names in (("20,20.0000001", ("20", "20.0000001")),
+                         ("20.00001,20.00002", ("20.00001", "20.00002"))):
+        outdir = tmp_path / f"ridge{temps}"
+        rc = main(["ridge", "--temps", temps, "--fq-points", "2", "--phi-points", "3",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            *(str(outdir / f"ridge_surface_{name}mk.csv") for name in names),
+            str(outdir / "ridge_maxima.csv")]
 
 
 def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
@@ -483,7 +520,8 @@ def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points,
             if not np.isnan(value):
                 writer.writerow((f"{f_values[i] / 1e9:.9g}", f"{phi_values[j]:.9g}",
                                  f"{value:.9g}"))
-        assert (outdir / f"ridge_surface_{t:g}mk.csv").read_bytes() == buf.getvalue().encode()
+        path = outdir / f"ridge_surface_{float(t):.9g}mk.csv"
+        assert path.read_bytes() == buf.getvalue().encode()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(("temperature_mk", "fq_max_ghz", "ridge_phi", "ridge_sensitivity_per_phi0"))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import tracemalloc
@@ -597,8 +598,9 @@ def test_campaign_deterministic():
 
 
 def test_campaign_parallel_matches_serial():
-    serial = run_campaign(DESIGN, BIAS, TINY_CAMPAIGN, n_jobs=1)
-    parallel = run_campaign(DESIGN, BIAS, TINY_CAMPAIGN, n_jobs=2)
+    two_chunks = dataclasses.replace(TINY_CAMPAIGN, n_repetitions=4)  # 16 runs, 8 a chunk
+    serial = run_campaign(DESIGN, BIAS, two_chunks, n_jobs=1)
+    parallel = run_campaign(DESIGN, BIAS, two_chunks, n_jobs=2)
     assert np.array_equal(serial.estimates, parallel.estimates)
     assert np.array_equal(serial.counts, parallel.counts)
     assert np.array_equal(serial.cumulative_time, parallel.cumulative_time)
@@ -630,6 +632,9 @@ def test_campaign_pool_bounded_by_chunks(monkeypatch):
     assert len(requested) == 1
     assert np.array_equal(serial.estimates, pooled.estimates)
     assert np.array_equal(serial.counts, pooled.counts)
+    # a campaign of one chunk (8 runs) runs serially at any n_jobs
+    run_campaign(DESIGN, BIAS, TINY_CAMPAIGN, n_jobs=2)
+    assert len(requested) == 1
 
 
 def test_campaign_accuracy_definition():
