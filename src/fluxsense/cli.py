@@ -37,6 +37,7 @@ from . import __version__, _csvtext
 from .config import (
     ConfigError,
     ToolConfig,
+    checked_fields,
     config_from_dict,
     load_config,
     parse_config,
@@ -85,7 +86,7 @@ def manifest_to_json(manifest: RunManifest) -> str:
 
 
 def manifest_from_json(text: str) -> RunManifest:
-    payload = json.loads(text)
+    payload = checked_fields(RunManifest, json.loads(text), "manifest")
     return RunManifest(**{**payload, "config": config_from_dict(payload["config"]),
                           "output_files": tuple(payload["output_files"])})
 

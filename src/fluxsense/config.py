@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .magnetostatics import BiasLineGeometry, FluxPatch
@@ -48,9 +48,9 @@ class ConfigError(ValueError):
 class ToolConfig:
     """Fully resolved configuration: sensor, campaign, and layout."""
 
-    design: SensorDesign
-    pea: PeaConfig
-    geometry: BiasLineGeometry
+    design: SensorDesign = field(default_factory=SensorDesign)
+    pea: PeaConfig = field(default_factory=PeaConfig)
+    geometry: BiasLineGeometry = field(default_factory=BiasLineGeometry)
     bias_phi: float = DEFAULT_BIAS_PHI
 
     def __post_init__(self) -> None:
@@ -79,12 +79,16 @@ def _parse_float(text: str, scale: float = 1.0) -> float:
 
 def _parse_patches(text: str, scale: float = 1.0) -> tuple[FluxPatch, ...]:
     patches = []
-    for rect in text.split(";"):
+    for number, rect in enumerate(text.split(";"), start=1):
         parts = rect.split(",")
-        if len(parts) not in (4, 5):
-            raise ValueError("expected ';'-separated 'x1, x2, y1, y2[, orientation]' rectangles")
-        values = [float(part) for part in parts]
-        patches.append(FluxPatch(*(v * scale for v in values[:4]), *values[4:]))
+        try:
+            if len(parts) not in (4, 5):
+                raise ValueError(
+                    "expected ';'-separated 'x1, x2, y1, y2[, orientation]' rectangles")
+            values = [float(part) for part in parts]
+            patches.append(FluxPatch(*(v * scale for v in values[:4]), *values[4:]))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (rectangle {number})") from exc
     return tuple(patches)
 
 
@@ -123,8 +127,8 @@ def _derive_keys() -> tuple[dict[str, type], dict[str, tuple[tuple[str, ...], ob
             continue
         sections[outer] = outer_type
         hints = get_type_hints(outer_type)
-        for field in fields(outer_type):
-            keys[field.name] = ((outer, field.name), _PARSERS[hints[field.name]])
+        for spec in fields(outer_type):
+            keys[spec.name] = ((outer, spec.name), _PARSERS[hints[spec.name]])
     for alias, (canonical, scale) in _ALIASES.items():
         path, parser = keys[canonical]
         keys[alias] = (path, functools.partial(parser, scale=scale))
@@ -208,10 +212,37 @@ def config_to_dict(config: ToolConfig) -> dict:
     return asdict(config)
 
 
+def checked_fields(cls: type, data, where: str) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``: a dict that sets
+    every field without a default and no other key, else ConfigError naming
+    the field after ``where``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
+    for spec in fields(cls):
+        if spec.name not in data and spec.default is MISSING and spec.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing field {spec.name!r}")
+    unknown = sorted(data.keys() - {spec.name for spec in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    return data
+
+
 def config_from_dict(data: dict) -> ToolConfig:
-    """Inverse of config_to_dict; the dataclasses validate every value."""
-    geometry = dict(data["geometry"])
+    """Inverse of config_to_dict; the dataclasses validate every value.
+
+    A section or field left out takes its default.  An unknown key, or a
+    rectangle that is not an object of x1, x2, y1, y2 and optionally
+    orientation, raises ConfigError naming it.
+    """
+    checked_fields(ToolConfig, data, "config")
+    for name, cls in _SECTIONS.items():
+        checked_fields(cls, data.get(name, {}), name)
+    geometry = dict(data.get("geometry", {}))
     for name, hint in get_type_hints(BiasLineGeometry).items():
-        if hint == _PATCHES:
-            geometry[name] = tuple(FluxPatch(**entry) for entry in geometry[name])
+        if hint == _PATCHES and name in geometry:
+            if not isinstance(geometry[name], (list, tuple)):
+                raise ConfigError(f"geometry.{name}: expected a list of rectangles")
+            geometry[name] = tuple(
+                FluxPatch(**checked_fields(FluxPatch, entry, f"geometry.{name} rectangle {i}"))
+                for i, entry in enumerate(geometry[name], start=1))
     return _build({**data, "geometry": geometry})

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,17 +479,49 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     )
 
 
+# A run's per-step columns, defined once: field of its trace, dtype and
+# pea_runs.csv header (None: not written there), in pea_runs.csv order;
+# floats are written with %.9g, the other fields with %d.
+TRACE_COLUMNS = (
+    ("delays", float, "tau_s"),
+    ("counts", int, "n_measurements"),
+    ("estimates", float, "estimate_phi0"),  # posterior-mean flux after the step, Phi_0
+    ("cumulative_time", float, "cumulative_time_s"),  # sum of tau_i n_i up to the step, s
+    ("cap_hits", bool, "cap_hit"),
+    ("retained", bool, None),  # a survivor lies within half a spacing of the truth
+)
+TRACE = np.dtype([column[:2] for column in TRACE_COLUMNS])
+# pea_steps.csv after its step column: each header and the attribute it writes.
+STEP_SUMMARY = (("tau_bar_s", "tau_bar"), ("accuracy_phi0", "accuracy"),
+                ("mean_measurements", "mean_counts"), ("mean_delay_s", "mean_delays"),
+                ("cap_hit_frac", "mean_cap_hits"), ("truth_retained_frac", "mean_retained"))
+
+
 @dataclass(frozen=True)
-class RunResult:
-    """Per-step trace of a single estimation run."""
+class _Traced:
+    """Reads each field of ``trace`` (TRACE records, the step last) as an attribute,
+    and ``mean_<field>`` as the field's mean over the runs at each step."""
+
+    trace: np.ndarray
+
+    def __getattr__(self, name: str):
+        field = name.removeprefix("mean_")
+        if field not in TRACE.names:
+            raise AttributeError(name)
+        values = self.trace[field]
+        return values if field == name else values.mean(axis=tuple(range(values.ndim - 1)))
+
+    @property
+    def tau_bar(self) -> np.ndarray:
+        """Mean cumulative phase-accumulation time at each step, s."""
+        return self.mean_cumulative_time
+
+
+@dataclass(frozen=True)
+class RunResult(_Traced):
+    """One estimation run: ``trace`` holds the TRACE record of each step."""
 
     true_flux: float
-    delays: np.ndarray        # tau_i per step, s
-    counts: np.ndarray        # measurements per step
-    estimates: np.ndarray     # posterior-mean flux after each step, Phi_0
-    cumulative_time: np.ndarray  # sum of tau_i n_i up to each step, s
-    cap_hits: np.ndarray
-    retained: np.ndarray      # a survivor lies within half a spacing of the truth
     steps: tuple[StepRecord, ...] | None = None
 
 
@@ -505,25 +536,16 @@ def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
     candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
     if workspace is None:
         workspace = np.empty(_workspace_cells(config))
-    records = []
-    for _ in range(config.n_steps):
-        records.append(run_step(candidates, true_flux, evaluator, config, rng,
-                                record_readouts=record_steps, workspace=workspace))
-        candidates = records[-1].survivors
-    survivors = [rec.survivors for rec in records]
-    delays = np.array([rec.tau for rec in records])
-    counts = np.array([rec.n_measurements for rec in records])
-    return RunResult(
-        true_flux=true_flux,
-        delays=delays,
-        counts=counts,
-        estimates=np.array([s.posterior_mean() for s in survivors]),
-        cumulative_time=np.cumsum(delays * counts),
-        cap_hits=np.array([rec.cap_hit for rec in records]),
-        retained=np.array([np.abs(s.fluxes - true_flux).min() <= 0.5 * s.spacing
-                           for s in survivors]),
-        steps=tuple(records) if record_steps else None,
-    )
+    trace, records, elapsed = np.empty(config.n_steps, TRACE), [], 0.0
+    for i in range(config.n_steps):
+        rec = run_step(candidates, true_flux, evaluator, config, rng,
+                       record_readouts=record_steps, workspace=workspace)
+        candidates = rec.survivors
+        elapsed += rec.tau * rec.n_measurements
+        trace[i] = (rec.tau, rec.n_measurements, candidates.posterior_mean(), elapsed, rec.cap_hit,
+                    np.abs(candidates.fluxes - true_flux).min() <= 0.5 * candidates.spacing)
+        records.append(rec)
+    return RunResult(trace, true_flux, tuple(records) if record_steps else None)
 
 
 def _pair_rng(master_seed: int, target_index: int, repetition: int) -> np.random.Generator:
@@ -586,27 +608,17 @@ def _campaign_worker(args) -> RunResult:
 
 
 @dataclass(frozen=True)
-class CampaignResult:
-    """Aggregated statistics of a full estimation campaign.
-
-    Index order of the per-run arrays is [target, repetition, step].
-    ``tau_bar`` is the mean cumulative phase-accumulation time per
-    step, ``accuracy`` the rms estimation error in Phi_0 units
-    (unbiased across repetitions, averaged over targets).
-    """
+class CampaignResult(_Traced):
+    """A campaign: ``trace`` holds its runs' TRACE records as [target, repetition, step]."""
 
     config: PeaConfig
     targets: np.ndarray
-    delays: np.ndarray
-    counts: np.ndarray
-    estimates: np.ndarray
-    cumulative_time: np.ndarray
-    cap_hits: np.ndarray
-    retained: np.ndarray
-    tau_bar: np.ndarray
-    accuracy: np.ndarray
-    mean_counts: np.ndarray
-    mean_delays: np.ndarray
+
+    @property
+    def accuracy(self) -> np.ndarray:
+        """Rms error at each step, Phi_0: unbiased across repetitions, averaged over targets."""
+        errors = self.estimates - self.targets[:, None, None]
+        return np.sqrt(((errors**2).sum(axis=1) / (self.config.n_repetitions - 1)).mean(axis=0))
 
 
 def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
@@ -618,49 +630,35 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
     when that is one; results are identical to the serial path.
     """
     targets = campaign_targets(design, bias, config)
-    f, m, steps = config.n_flux_targets, config.n_repetitions, config.n_steps
+    f, m = config.n_flux_targets, config.n_repetitions
     jobs = [(design, bias, config, float(targets[j]), j, k)
             for j in range(f) for k in range(m)]
     # Both maps keep job order, which is [target, repetition] order.
     chunk = 8  # pairs a worker takes at a time
     workers = min(n_jobs, -(-len(jobs) // chunk))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_campaign_worker, jobs, chunksize=chunk))
     else:
         runs = list(map(_campaign_worker, jobs))
-    traces = {name: np.array([getattr(run, name) for run in runs]).reshape(f, m, steps)
-              for name in ("delays", "counts", "estimates", "cumulative_time",
-                           "cap_hits", "retained")}
-
-    errors = traces["estimates"] - targets[:, None, None]
-    per_target_var = (errors**2).sum(axis=1) / (m - 1)   # [target, step]
-    return CampaignResult(
-        config=config,
-        targets=targets,
-        **traces,
-        tau_bar=traces["cumulative_time"].mean(axis=(0, 1)),
-        accuracy=np.sqrt(per_target_var.mean(axis=0)),
-        mean_counts=traces["counts"].mean(axis=(0, 1)),
-        mean_delays=traces["delays"].mean(axis=(0, 1)),
-    )
+    return CampaignResult(np.array([run.trace for run in runs]).reshape(f, m, -1), config, targets)
 
 
 def aggregate_report(result: CampaignResult) -> str:
     """Per-step campaign summary as CSV text."""
-    fields = (result.tau_bar, result.accuracy, result.mean_counts, result.mean_delays,
-              result.cap_hits.mean(axis=(0, 1)), result.retained.mean(axis=(0, 1)))
-    return _csvtext.table("step,tau_bar_s,accuracy_phi0,mean_measurements,mean_delay_s,"
-                          "cap_hit_frac,truth_retained_frac", "%d" + ",%.9g" * 6,
-                          [range(1, result.config.n_steps + 1), *(a.tolist() for a in fields)])
+    headers, names = zip(*STEP_SUMMARY)
+    return _csvtext.table(",".join(("step", *headers)), "%d" + ",%.9g" * len(names),
+                          [range(1, result.config.n_steps + 1),
+                           *(getattr(result, name).tolist() for name in names)])
 
 
 def runs_report(result: CampaignResult) -> str:
     """Per-run, per-step detail as CSV text."""
-    index = np.indices(result.delays.shape).reshape(3, -1)
+    index = np.indices(result.trace.shape).reshape(3, -1)
     index[2] += 1  # steps count from 1
-    fields = (result.delays, result.counts, result.estimates, result.cumulative_time,
-              result.cap_hits.astype(int))
-    return _csvtext.table("target_index,repetition,step,tau_s,n_measurements,estimate_phi0,"
-                          "cumulative_time_s,cap_hit", "%d,%d,%d,%.9g,%d,%.9g,%.9g,%d",
-                          [*index.tolist(), *(a.ravel().tolist() for a in fields)])
+    columns = [column for column in TRACE_COLUMNS if column[2]]
+    return _csvtext.table(
+        ",".join(["target_index,repetition,step", *(header for _, _, header in columns)]),
+        "%d,%d,%d" + "".join(",%.9g" if dtype is float else ",%d" for _, dtype, _ in columns),
+        [*index.tolist(), *(result.trace[name].ravel().tolist() for name, _, _ in columns)])

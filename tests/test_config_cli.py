@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,8 @@ def test_pea_and_bias_keys():
     ("squid_patches = 1, 2, 3, 4; 1, 2\n", "line 1: squid_patches: expected"),
     ("gap_patches_um = 1, 2, 3, 4;\n", "line 1: gap_patches_um: expected"),
     ("gap_patches = 1, 2, 3, 4, 0\n", "line 1: gap_patches: orientation"),
+    ("squid_patches_um = 1, 2, 8, 9; 3, 4, 8, 9; 5, 6, 8, 9, 0\n",
+     "line 1: squid_patches_um: orientation must be +1 or -1 (rectangle 3)"),
     ("gap_patches = 1, 2, 3, 4\ngap_patches_um = 1, 2, 3, 4\n", "both set the same"),
     ("squid_rect1 = 1, 2, 3, 4\n", "line 1: unknown key 'squid_rect1'"),
     ("z0 = 50\ntemperature_mk = -1\n", "line 2: temperature_mk"),
@@ -133,6 +136,37 @@ def test_config_from_dict_validates(section, field, value):
     (payload[section] if section else payload)[field] = value
     with pytest.raises(ValueError):
         config_from_dict(payload)
+
+
+def _drop_x2(payload):
+    del payload["geometry"]["squid_patches"][0]["x2"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_x2, "geometry.squid_patches rectangle 1: missing field 'x2'"),
+    (lambda payload: payload["pea"].update(bogus=1), "pea: unknown field 'bogus'"),
+    (lambda payload: payload.update(extra=1), "config: unknown field 'extra'"),
+    (lambda payload: payload.update(pea=[]), "pea: expected an object"),
+    (lambda payload: payload["geometry"].update(gap_patches=1.0),
+     "geometry.gap_patches: expected a list"),
+    (lambda payload: payload["geometry"].update(gap_patches=[[1, 2, 3, 4]]),
+     "geometry.gap_patches rectangle 1: expected an object"),
+])
+def test_config_from_dict_names_bad_keys(edit, message):
+    payload = json.loads(json.dumps(config_to_dict(parse_config(""))))
+    edit(payload)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(payload)
+
+
+def test_config_from_dict_defaults_left_out_keys():
+    # a missing section or field takes its default, as an omitted config key does
+    payload = config_to_dict(parse_config("z0 = 30\nmaster_seed = 5\n"))
+    del payload["geometry"]
+    del payload["pea"]["n_steps"]
+    del payload["bias_phi"]
+    assert config_from_dict(payload) == parse_config("z0 = 30\nmaster_seed = 5\n")
+    assert config_from_dict({}) == parse_config("")
 
 
 def _float_leaves():
@@ -267,6 +301,19 @@ def test_manifest_round_trip():
     assert manifest_to_json(manifest) == _manifest_oracle(
         "rates", "0.1.0", parse_config("n_qubits = 2\nmaster_seed = 42\n"),
         ["a.csv", "b.json"], 1.25)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda payload: payload.update(bogus=1), "manifest: unknown field 'bogus'"),
+    (lambda payload: payload.pop("output_files"), "manifest: missing field 'output_files'"),
+    (lambda payload: payload["config"]["pea"].update(bogus=1), "pea: unknown field 'bogus'"),
+])
+def test_manifest_from_json_names_bad_keys(edit, message):
+    payload = json.loads(manifest_to_json(RunManifest("rates", "0.1.0", parse_config(""),
+                                                      ("a.csv",), 1.0)))
+    edit(payload)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        manifest_from_json(json.dumps(payload))
 
 
 def _manifest_oracle(subcommand, tool_version, config, output_files, wall_seconds):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -624,7 +625,7 @@ def test_campaign_pool_bounded_by_chunks(monkeypatch):
         def map(self, fn, jobs, chunksize):
             return map(fn, jobs)
 
-    monkeypatch.setattr(pea, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     runs = CAPPED_CAMPAIGN.n_flux_targets * CAPPED_CAMPAIGN.n_repetitions
     pooled = run_campaign(DESIGN, BIAS, CAPPED_CAMPAIGN, n_jobs=10_000)
     assert requested == [-(-runs // 8)]
@@ -704,8 +705,7 @@ def test_campaign_stacks_runs_by_target_and_repetition():
     for j, k in np.ndindex(result.delays.shape[:2]):
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, j, k)))
         run = run_single(float(result.targets[j]), evaluator, config, rng)
-        for name in ("delays", "counts", "estimates", "cumulative_time", "cap_hits",
-                     "retained"):
+        for name in result.trace.dtype.names:
             assert np.array_equal(getattr(result, name)[j, k], getattr(run, name)), name
 
 
