@@ -1,9 +1,11 @@
 """Where PEA campaigns spend their time, by grid size.
 
 Runs campaigns serially in this process, with one BLAS thread unless
-the environment sets another count, and times every ``run_step``.  For
-each campaign and grid size m it prints the share of the campaigns'
-wall time spent in steps over m candidates, their measurements, and the
+the environment sets another count (``OPENBLAS_NUM_THREADS=2`` for the
+command line's default on two cores), and times every ``run_step``.
+Each campaign's header line gives the BLAS thread count.  For each
+campaign and grid size m it prints the share of the campaigns' wall time
+spent in steps over m candidates, their measurements, and the
 microseconds per measurement.  By default it runs the campaigns of the
 two PEA benchmark workloads (perfbench/workloads.py); ``--desk`` adds
 the desk campaigns of the command line (32 targets x 8 repetitions).
@@ -86,7 +88,8 @@ def main() -> None:
     campaigns = {**BENCHMARK, **(DESK if args.desk else {})}
     for name, settings in campaigns.items():
         wall, by_size = step_costs(settings, args.repeats)
-        print(f"{name}: {wall:.3f} s in {args.repeats} campaigns")
+        print(f"{name}: {wall:.3f} s in {args.repeats} campaigns, "
+              f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}")
         print(f"{'m':>6} {'share':>7} {'measurements':>13} {'us/meas':>8}")
         for m in sorted(by_size, reverse=True):
             seconds, count = by_size[m]

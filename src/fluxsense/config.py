@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .magnetostatics import BiasLineGeometry, FluxPatch
-from .pea import PeaConfig
+from .pea import PeaConfig, _is_integer
 from .qubit import FluxBias, SensorDesign
 
 DEFAULT_BIAS_PHI = 0.442  # operating point of the reference sensor
@@ -212,14 +213,38 @@ def config_to_dict(config: ToolConfig) -> dict:
     return asdict(config)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Field type -> test of a plain-data value for it, and what the test expects.
+# Fields of other types (sections, rectangles) are checked on their own.
+_PLAIN_TYPES = {
+    float: (_is_number, "a number"),
+    int: (_is_integer, "an integer"),
+    int | None: (lambda value: value is None or _is_integer(value), "an integer or null"),
+    bool: (lambda value: isinstance(value, bool), "true or false"),
+    str: (lambda value: isinstance(value, str), "a string"),
+    tuple[str, ...]: (lambda value: isinstance(value, (list, tuple))
+                      and all(isinstance(item, str) for item in value), "a list of strings"),
+}
+
+
 def checked_fields(cls: type, data, where: str) -> dict:
     """``data`` as keyword arguments of the dataclass ``cls``: a dict that sets
-    every field without a default and no other key, else ConfigError naming
-    the field after ``where``."""
+    every field without a default, no other key, and each field of a plain
+    type to a value of that type, else ConfigError naming the field after
+    ``where``.  The dataclass still checks each value's range."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {data!r}")
+    hints = get_type_hints(cls)
     for spec in fields(cls):
-        if spec.name not in data and spec.default is MISSING and spec.default_factory is MISSING:
+        if spec.name in data:
+            test, expected = _PLAIN_TYPES.get(hints[spec.name], (None, None))
+            if test and not test(data[spec.name]):
+                raise ConfigError(f"{where}.{spec.name}: expected {expected}, "
+                                  f"got {data[spec.name]!r}")
+        elif spec.default is MISSING and spec.default_factory is MISSING:
             raise ConfigError(f"{where}: missing field {spec.name!r}")
     unknown = sorted(data.keys() - {spec.name for spec in fields(cls)})
     if unknown:
@@ -230,9 +255,10 @@ def checked_fields(cls: type, data, where: str) -> dict:
 def config_from_dict(data: dict) -> ToolConfig:
     """Inverse of config_to_dict; the dataclasses validate every value.
 
-    A section or field left out takes its default.  An unknown key, or a
-    rectangle that is not an object of x1, x2, y1, y2 and optionally
-    orientation, raises ConfigError naming it.
+    A section or field left out takes its default.  An unknown key, a
+    value of the wrong type, or a rectangle that is not an object of x1,
+    x2, y1, y2 and optionally orientation or that FluxPatch rejects,
+    raises ConfigError naming it.
     """
     checked_fields(ToolConfig, data, "config")
     for name, cls in _SECTIONS.items():
@@ -242,7 +268,13 @@ def config_from_dict(data: dict) -> ToolConfig:
         if hint == _PATCHES and name in geometry:
             if not isinstance(geometry[name], (list, tuple)):
                 raise ConfigError(f"geometry.{name}: expected a list of rectangles")
-            geometry[name] = tuple(
-                FluxPatch(**checked_fields(FluxPatch, entry, f"geometry.{name} rectangle {i}"))
-                for i, entry in enumerate(geometry[name], start=1))
+            patches = []
+            for i, entry in enumerate(geometry[name], start=1):
+                where = f"geometry.{name} rectangle {i}"
+                corners = checked_fields(FluxPatch, entry, where)
+                try:
+                    patches.append(FluxPatch(**corners))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
+            geometry[name] = tuple(patches)
     return _build({**data, "geometry": geometry})

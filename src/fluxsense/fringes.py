@@ -82,19 +82,23 @@ class FringeEvaluator:
         """Decay envelope exp(-N (A tau + B^2 tau^2)) at delay tau."""
         return float(decoherence._envelope(*self.envelope_rates, tau, self.n_qubits))
 
-    def probability_excited(self, phi_ext, tau: float, theta: float = 0.0):
-        """Excited-state probability after one fringe cycle.
+    def probability_at(self, delta, tau: float, theta: float = 0.0):
+        """Excited-state probability after one fringe cycle at detuning ``delta``.
 
-        ``phi_ext`` may be a scalar or an array of external flux
-        offsets (Phi_0 units).  ``tau`` is the accumulation delay in
-        seconds, ``theta`` an extra measurement phase inside the
-        cosine.
+        ``delta`` is what ``detuning`` returns, rad/s, for one flux or
+        an array of them; a caller that evaluates the same fluxes at many
+        delays computes it once.  ``tau`` is the accumulation delay in
+        seconds, ``theta`` an extra measurement phase inside the cosine.
         """
         if not (0 <= tau < math.inf and -math.inf < theta < math.inf):
             raise ValueError(f"need a finite delay >= 0 and a finite phase, got {tau} and {theta}")
-        delta = self.detuning(phi_ext)
         osc = np.cos(self.n_qubits * delta * tau + theta)
-        p = 0.5 + 0.5 * self.visibility * self.envelope(tau) * osc
+        return 0.5 + 0.5 * self.visibility * self.envelope(tau) * osc
+
+    def probability_excited(self, phi_ext, tau: float, theta: float = 0.0):
+        """``probability_at`` the detuning of ``phi_ext``, a scalar or an
+        array of external flux offsets (Phi_0 units)."""
+        p = self.probability_at(self.detuning(phi_ext), tau, theta)
         if np.ndim(phi_ext) == 0:
             return float(p)
         return p

@@ -16,11 +16,14 @@ A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
 A screen of one matrix product picks the rows of a block that may
 decide.  On narrow grids its columns are the windows of half the
-candidates; on wide grids they are the runs of 33 of 64 equal blocks of
-candidates, and any window lies inside one.  No weight is negative, so
-a row none of whose columns holds 1 - epsilon of its mass cannot
-decide.  The exact window test runs only on the rows that pass, so the
-deciding readout and the kept window are the same as without it.
+candidates; on wide grids (256 candidates and more, in 64 equal blocks)
+they are the runs of 33 of the 64 blocks, and any window lies inside
+one.  No weight is negative, so a row none of whose columns holds
+1 - epsilon of its mass cannot decide.  The exact window test runs only
+on the rows that pass, and its result on the deciding row gives the kept
+window, so the deciding readout and the kept window are the same as
+without the screen.  The detuning of every candidate is computed once a
+run, since each step's candidates are a slice of the run's grid.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,18 +145,23 @@ class CandidateSet:
 
     Fluxes are external offsets from the bias point in Phi_0 units.
     The spacing never changes as the set is halved, so the candidate
-    interval is [fluxes[0], fluxes[-1] + spacing).
+    interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings``, when
+    set, holds FringeEvaluator.detuning of each flux, computed once for
+    a run's grid and sliced with the fluxes (see run_single).
     """
 
     fluxes: np.ndarray
     weights: np.ndarray
     spacing: float
+    detunings: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.fluxes = np.asarray(self.fluxes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.fluxes.shape != self.weights.shape or self.fluxes.ndim != 1:
             raise ValueError("fluxes and weights must be matching 1-D arrays")
+        if self.detunings is not None and np.shape(self.detunings) != self.fluxes.shape:
+            raise ValueError("detunings must match fluxes")
         if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise ValueError("weights must be a normalized distribution")
 
@@ -263,13 +271,15 @@ _ROW_PRODUCT_MIN = 256
 # Window screen (see run_step).  Grids of at most _DIRECT_MAX candidates
 # are screened window by window, grids of at least _SCREEN_MIN that split
 # into _SCREEN_BLOCKS equal blocks by runs of blocks, and the grids
-# between not at all: in runs timed by scripts/step_costs.py the screen
-# cost them as much as the exact tests it spared or more (m = 48 in
-# coherent runs), and from m = 64 on OpenBLAS splits the window product
-# over threads, slower on two cores.  The relative slack is far above
-# the rounding of the products (~m * 2^-53 of the row's mass).
+# between not at all.  In the benchmark campaigns, replayed step by step
+# with and without the screen at one and at two BLAS threads, the block
+# screen made a step 14 % faster at m = 768, 6-8 % at 384 and 512 and
+# 2.5 % at 256, but 0-2 % slower at 192; window by window it cost m = 48
+# as much as it spared, and from m = 64 on OpenBLAS splits the window
+# product over threads, slower on two cores.  The relative slack is far
+# above the rounding of the products (~m * 2^-53 of the row's mass).
 _DIRECT_MAX = 32
-_SCREEN_MIN = 1024
+_SCREEN_MIN = 256
 _SCREEN_BLOCKS = 64
 _SCREEN_SLACK = 1e-9
 
@@ -284,8 +294,9 @@ def _screen_blocks(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The screen's matrix over m candidates, and a column of ones.
+def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's matrix over m candidates, a column of ones over its
+    blocks and one over the cells of a block.
 
     Column j of the matrix is the indicator of the j-th window of m/2
     candidates (on grids screened window by window) or of the j-th run
@@ -295,9 +306,9 @@ def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     run = blocks // 2 + (blocks < m)
     cell, start = np.arange(blocks)[:, None], np.arange(blocks - run + 1)
     matrix = ((cell >= start) & (cell < start + run)) - (1.0 - _SCREEN_SLACK) * (1.0 - epsilon)
-    ones = np.ones(blocks)
-    matrix.flags.writeable = ones.flags.writeable = False
-    return matrix, ones
+    block_ones, cell_ones = np.ones(blocks), np.ones(m // blocks)
+    matrix.flags.writeable = block_ones.flags.writeable = cell_ones.flags.writeable = False
+    return matrix, block_ones, cell_ones
 
 
 def _level_likelihoods(x: np.ndarray, config: PeaConfig):
@@ -342,19 +353,23 @@ def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     not negative.  The product is written transposed, a row per column
     of the matrix, so that its maximum per block row is elementwise
     across a few long rows: a reduction along each of many short rows
-    costs far more.  The window test's buffers ``below`` and ``above``
-    hold the product and the block sums; both fit, as neither is wider
-    than half the candidates plus one.
+    costs far more.  The block sums are one BLAS product too, of the
+    [k * blocks, block width] view by a column of ones: a numpy sum over
+    an axis a few dozen cells wide costs twice as much or more.  The
+    window test's buffers ``below`` and ``above`` hold the product and
+    the block sums; both fit, as neither is wider than half the
+    candidates plus one.
     """
     k, m = posterior.shape
-    matrix, ones = _screen_matrix(m, epsilon)
+    matrix, block_ones, cell_ones = _screen_matrix(m, epsilon)
     blocks = posterior
-    if len(ones) < m:
-        sums = above.reshape(-1)[:k * len(ones)].reshape(k, len(ones))
-        blocks = np.add.reduce(posterior.reshape(k, len(ones), -1), axis=2, out=sums)
+    if len(block_ones) < m:
+        sums = above.reshape(-1)[:k * len(block_ones)]
+        blocks = np.matmul(posterior.reshape(-1, len(cell_ones)), cell_ones, out=sums)
+        blocks = blocks.reshape(k, -1)
     margin = below.reshape(-1)[:matrix.shape[1] * k].reshape(-1, k)
     np.matmul(matrix.T, blocks.T, out=margin)
-    return margin.max(axis=0) >= 0.0, blocks @ ones
+    return margin.max(axis=0) >= 0.0, blocks @ block_ones
 
 
 def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -385,7 +400,13 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
 
     On the grids _screen_blocks picks, the exact window test sees only
     the rows that pass _window_screen, which cannot turn away a row that
-    decides (see the module docstring).
+    decides (see the module docstring).  The kept window comes from the
+    exact test of the step's last row, run again only when that row is a
+    capped one the test never saw.
+
+    The fringe over the candidates uses ``candidates.detunings`` when set
+    (run_single sets them), else their detunings computed here, and the
+    survivors carry their slice.
 
     The block buffers are views of ``workspace``, a 1-D float64 array
     (run_single sizes one with _workspace_cells) that the step writes
@@ -395,7 +416,10 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     if m < 2 or m % 2 != 0:
         raise ValueError("halving needs an even number of candidates, at least 2")
     tau, theta = choose_delay(candidates, evaluator)
-    probs = evaluator.probability_excited(candidates.fluxes, tau, theta)
+    detunings = candidates.detunings
+    if detunings is None:
+        detunings = evaluator.detuning(candidates.fluxes)
+    probs = evaluator.probability_at(detunings, tau, theta)
     p_true = float(evaluator.probability_excited(true_flux, tau, theta))
 
     half = m // 2
@@ -434,18 +458,23 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
                 np.multiply(posterior[row], posterior[row - 1], out=posterior[row])
         else:
             np.cumprod(posterior, axis=0, out=posterior)
+        # The exact test runs on rows first..last - 1, a view, and
+        # outside[i] is the mass outside each window of row first + i.
         if screened:
-            # The exact test runs on the rows from the first to the last
-            # that the screen passes, a view; only passed rows may decide.
+            # Those are the rows from the first to the last that the
+            # screen passes; only passed rows may decide.
             decided = np.zeros(k, dtype=bool)
             passed, total = _window_screen(posterior, epsilon, below_buf, above_buf)
             tested = np.flatnonzero(passed)
+            first = last = 0
             if tested.size:
                 first, last = tested[0], tested[-1] + 1
-                exact = _window_test(posterior[first:last], epsilon, below_buf, above_buf)[0]
+                exact, outside, _ = _window_test(posterior[first:last], epsilon,
+                                                 below_buf, above_buf)
                 decided[first:last] = exact & passed[first:last]
         else:
-            decided, _, total = _window_test(posterior, epsilon, below_buf, above_buf)
+            first, last = 0, k
+            decided, outside, total = _window_test(posterior, epsilon, below_buf, above_buf)
         # The unscaled evidence of each readout, as posterior_update sums
         # it; weights enter normalized, so the first row divides by 1.
         evidence = scale * total / np.concatenate(([1.0], total[:-1]))
@@ -463,12 +492,15 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
             break
         weights = posterior[r] / total[r]
 
-    # The step's last row may be one the screen never let through.
-    _, outside, _ = _window_test(posterior[r:r + 1], epsilon, below_buf, above_buf)
-    start = int(np.argmin(outside[0]))
-    kept = posterior[r, start:start + half]
-    survivors = CandidateSet(candidates.fluxes[start:start + half], kept / kept.sum(),
-                             candidates.spacing)
+    # A deciding row had the exact test; a capped row past the last row the
+    # screen passed did not.
+    if not first <= r < last:
+        first, outside = r, _window_test(posterior[r:r + 1], epsilon, below_buf, above_buf)[1]
+    start = int(np.argmin(outside[r - first]))
+    window = slice(start, start + half)
+    kept = posterior[r, window]
+    survivors = CandidateSet(candidates.fluxes[window], kept / kept.sum(), candidates.spacing,
+                             detunings[window])
     return StepRecord(
         tau=tau,
         theta=theta,
@@ -531,9 +563,12 @@ def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
     """One full estimation of one target flux.
 
     Every step takes its block buffers from one ``workspace`` (see
-    run_step), allocated here unless given.
+    run_step), allocated here unless given, and the detunings of its
+    candidates from one evaluation over the grid.
     """
-    candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
+    grid = build_flux_grid(evaluator.design, evaluator.bias_point, config)
+    # Every step's candidates are a slice of the grid, so their detunings are too.
+    candidates = replace(grid, detunings=evaluator.detuning(grid.fluxes))
     if workspace is None:
         workspace = np.empty(_workspace_cells(config))
     trace, records, elapsed = np.empty(config.n_steps, TRACE), [], 0.0

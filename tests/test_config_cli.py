@@ -151,6 +151,19 @@ def _drop_x2(payload):
      "geometry.gap_patches: expected a list"),
     (lambda payload: payload["geometry"].update(gap_patches=[[1, 2, 3, 4]]),
      "geometry.gap_patches rectangle 1: expected an object"),
+    (lambda payload: payload["geometry"]["squid_patches"][1].update(x1=1.0),
+     "geometry.squid_patches rectangle 2: rectangle needs finite x1 < x2"),
+    (lambda payload: payload["geometry"]["gap_patches"][0].update(y2="9"),
+     "geometry.gap_patches rectangle 1.y2: expected a number, got '9'"),
+    # values of the wrong type, which the range checks cannot compare
+    (lambda payload: payload["pea"].update(sigma0="abc"),
+     "pea.sigma0: expected a number, got 'abc'"),
+    (lambda payload: payload["design"].update(z0="50"), "design.z0: expected a number, got '50'"),
+    (lambda payload: payload["geometry"].update(x_a=None),
+     "geometry.x_a: expected a number, got None"),
+    (lambda payload: payload.update(bias_phi=[0.4]), "config.bias_phi: expected a number"),
+    (lambda payload: payload["pea"].update(grid_size="6144"),
+     "pea.grid_size: expected an integer or null, got '6144'"),
 ])
 def test_config_from_dict_names_bad_keys(edit, message):
     payload = json.loads(json.dumps(config_to_dict(parse_config(""))))
@@ -307,6 +320,15 @@ def test_manifest_round_trip():
     (lambda payload: payload.update(bogus=1), "manifest: unknown field 'bogus'"),
     (lambda payload: payload.pop("output_files"), "manifest: missing field 'output_files'"),
     (lambda payload: payload["config"]["pea"].update(bogus=1), "pea: unknown field 'bogus'"),
+    (lambda payload: payload["config"]["pea"].update(sigma0="abc"),
+     "pea.sigma0: expected a number, got 'abc'"),
+    (lambda payload: payload["config"]["geometry"].update(x_a=None),
+     "geometry.x_a: expected a number, got None"),
+    (lambda payload: payload.update(wall_seconds="1.0"),
+     "manifest.wall_seconds: expected a number, got '1.0'"),
+    (lambda payload: payload.update(output_files="a.csv"),
+     "manifest.output_files: expected a list of strings, got 'a.csv'"),
+    (lambda payload: payload.update(subcommand=None), "manifest.subcommand: expected a string"),
 ])
 def test_manifest_from_json_names_bad_keys(edit, message):
     payload = json.loads(manifest_to_json(RunManifest("rates", "0.1.0", parse_config(""),

@@ -429,8 +429,10 @@ def _deciding_at_threshold(inside, outside, epsilon):
 
 
 # Every size the standard sensors screen, and sizes they do not reach:
-# blocks of an odd width (1088 = 64 x 17), windows over 6 candidates.
-@pytest.mark.parametrize("m", [2, 4, 6, 8, 16, 24, 32, 1024, 1088, 1536, 2048, 3072, 6144])
+# blocks of an odd width (576 = 64 x 9, 1088 = 64 x 17), windows over 6
+# candidates.
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 16, 24, 32, 256, 384, 512, 576, 768, 1024, 1088,
+                               1536, 2048, 3072, 6144])
 @pytest.mark.parametrize("epsilon", [1e-4, 0.25])
 def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
     assert pea._screen_blocks(m), "not a screened size"
@@ -546,6 +548,23 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
             tracemalloc.stop()
         candidates = rec.survivors
     assert max(peaks.values()) <= _STEP_PEAK_BYTES, peaks
+
+
+@pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
+def test_survivors_carry_their_slice_of_the_grid_detunings(n_qubits, decohere):
+    # run_single computes the detuning of every grid flux once; the fringe
+    # at each survivor set's slice of them is the fringe at its fluxes, bit
+    # for bit, at the delay and phase of every step
+    config = PeaConfig(n_qubits=n_qubits, decoherence_enabled=decohere)
+    evaluator = _evaluator(n_qubits, decohere)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    result = run_single(float(grid.fluxes[1234 % len(grid)]), evaluator, config,
+                        np.random.default_rng(n_qubits), record_steps=True)
+    for survivors in (rec.survivors for rec in result.steps):
+        for step in result.steps:
+            fringe = step.tau, step.theta
+            assert np.array_equal(evaluator.probability_at(survivors.detunings, *fringe),
+                                  evaluator.probability_excited(survivors.fluxes, *fringe))
 
 
 def test_run_step_two_candidates():
