@@ -15,8 +15,12 @@ on every block row.
     PYTHONPATH=src python3 scripts/step_costs.py --repeats 4
 
 Each campaign runs ``--repeats`` times, at master seeds 1, 2, ...; the
-figures sum over them.  This is the table that chooses the grids the
-window screen of ``run_step`` runs on, and at what block width.
+figures sum over them.  The table shows where a campaign's time goes.
+It does not choose the grids the window screen of ``run_step`` runs on:
+run as separate processes, rows whose code two variants share read
+0.86-1.13x of each other, wider than the 2-5 % effects that decided
+m = 192 and 256.  Those were decided by replaying the campaigns' steps
+with and without the screen, interleaved step by step in one process.
 """
 
 from __future__ import annotations

@@ -72,9 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce one invocation."""
+    """Everything needed to reproduce one invocation: its arguments and
+    the configuration they resolved to."""
 
     subcommand: str
+    argv: tuple[str, ...]
     tool_version: str
     config: ToolConfig
     output_files: tuple[str, ...]
@@ -88,6 +90,7 @@ def manifest_to_json(manifest: RunManifest) -> str:
 def manifest_from_json(text: str) -> RunManifest:
     payload = checked_fields(RunManifest, json.loads(text), "manifest")
     return RunManifest(**{**payload, "config": config_from_dict(payload["config"]),
+                          "argv": tuple(payload["argv"]),
                           "output_files": tuple(payload["output_files"])})
 
 
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def _run(args, argv: tuple[str, ...]) -> int:
     started = time.perf_counter()
     config = load_config(args.config) if args.config else parse_config("")
     # pea's flags set PeaConfig fields; calibration's --n-qubits is its own.
@@ -301,6 +304,7 @@ def _run(args) -> int:
     if args.manifest or args.subcommand == "pea":
         manifest = RunManifest(
             subcommand=args.subcommand,
+            argv=argv,
             tool_version=__version__,
             config=config,
             output_files=tuple(str(p) for p in outputs),
@@ -318,13 +322,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = tuple(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
     except _UsageError as exc:
         _emit_error("usage", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG
     try:
-        return _run(args)
+        return _run(args, argv)
     except ConfigError as exc:
         _emit_error("config", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG

@@ -35,8 +35,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .magnetostatics import BiasLineGeometry, FluxPatch
-from .pea import PeaConfig, _is_integer
-from .qubit import FluxBias, SensorDesign
+from .pea import PeaConfig
+from .qubit import FluxBias, SensorDesign, _is_integer
 
 DEFAULT_BIAS_PHI = 0.442  # operating point of the reference sensor
 

@@ -93,37 +93,6 @@ def composite_rates(design: SensorDesign, bias: FluxBias) -> DecayRates:
     return DecayRates(*(float(v) for v in channel_rates(design, bias.phi)))
 
 
-def purcell_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation through the readout resonator, kappa g01^2 / delta^2."""
-    return composite_rates(design, bias).gamma1_cav
-
-
-def inductive_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation into the bias line through M and M'."""
-    return composite_rates(design, bias).gamma1_ind
-
-
-def capacitive_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Relaxation into the drive line through the coupling capacitance."""
-    return composite_rates(design, bias).gamma1_cap
-
-
-def flux_dephasing_rates(design: SensorDesign, bias: FluxBias) -> tuple[float, float]:
-    """Flux-noise dephasing as (gaussian_rate, exponential_rate).
-
-    The Gaussian rate multiplies t^2 in the decay exponent and vanishes
-    at the sweet spot; the exponential rate multiplies t and comes from
-    the spectrum curvature, so it survives at the sweet spot.
-    """
-    r = composite_rates(design, bias)
-    return r.gamma_phi_flux_gauss, r.gamma_phi_flux_exp
-
-
-def critical_current_dephasing_rate(design: SensorDesign, bias: FluxBias) -> float:
-    """Gaussian dephasing rate from 1/f critical-current noise."""
-    return composite_rates(design, bias).gamma_phi_curr_gauss
-
-
 def rates_table(design: SensorDesign, phi_values) -> str:
     """Render the per-channel rates at each flux point as CSV text (kHz)."""
     phis = np.asarray(phi_values, dtype=float)

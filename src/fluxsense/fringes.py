@@ -29,6 +29,7 @@ from .qubit import (
     FluxBias,
     SensorDesign,
     _f_q,
+    _is_integer,
     _omega_q,
     _require_operational,
     thermal_visibility,
@@ -53,8 +54,8 @@ class FringeEvaluator:
     decoherence_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
+        if not (_is_integer(self.n_qubits) and self.n_qubits >= 1):
+            raise ValueError(f"n_qubits must be an integer of at least 1, got {self.n_qubits!r}")
 
     @cached_property
     def omega_d(self) -> float:

@@ -61,10 +61,6 @@ class FluxPatch:
         if self.orientation not in (-1.0, 1.0):
             raise ValueError("orientation must be +1 or -1")
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
 
 # Default receiving geometry (meters).  SQUID loop: two stacked
 # rectangles of 125 and 241.5 um^2 centered above the feed; gap region:

@@ -22,8 +22,8 @@ one.  No weight is negative, so a row none of whose columns holds
 1 - epsilon of its mass cannot decide.  The exact window test runs only
 on the rows that pass, and its result on the deciding row gives the kept
 window, so the deciding readout and the kept window are the same as
-without the screen.  The detuning of every candidate is computed once a
-run, since each step's candidates are a slice of the run's grid.
+without the screen.  The grid carries the detuning of every candidate,
+computed once, and each step's candidates carry their slice of it.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csvtext
 from .fringes import FringeEvaluator
 from .optimizer import DEFAULT_TAU_MIN, dynamic_range, optimal_delay
-from .qubit import FluxBias, SensorDesign
+from .qubit import FluxBias, SensorDesign, _is_integer
 
 # Candidate grid sizes for the standard sensors: the N-qubit range is the
 # N=1 range over N, so all three grids share one spacing (the N=1 range
@@ -64,17 +63,6 @@ DEFAULT_MASTER_SEED = 20240917
 
 _INT_FIELDS = ("n_qubits", "n_steps", "n_flux_targets", "n_repetitions", "master_seed",
                "measurement_cap", "grid_size")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer (a numpy one too) and not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 class DegenerateLikelihoodError(ArithmeticError):
@@ -145,22 +133,23 @@ class CandidateSet:
 
     Fluxes are external offsets from the bias point in Phi_0 units.
     The spacing never changes as the set is halved, so the candidate
-    interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings``, when
-    set, holds FringeEvaluator.detuning of each flux, computed once for
-    a run's grid and sliced with the fluxes (see run_single).
+    interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings`` holds
+    FringeEvaluator.detuning of each flux, rad/s: build_flux_grid
+    computes them once, and run_step slices them with the fluxes.
     """
 
     fluxes: np.ndarray
     weights: np.ndarray
     spacing: float
-    detunings: np.ndarray | None = None
+    detunings: np.ndarray
 
     def __post_init__(self) -> None:
         self.fluxes = np.asarray(self.fluxes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        self.detunings = np.asarray(self.detunings, dtype=float)
         if self.fluxes.shape != self.weights.shape or self.fluxes.ndim != 1:
             raise ValueError("fluxes and weights must be matching 1-D arrays")
-        if self.detunings is not None and np.shape(self.detunings) != self.fluxes.shape:
+        if self.detunings.shape != self.fluxes.shape:
             raise ValueError("detunings must match fluxes")
         if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise ValueError("weights must be a normalized distribution")
@@ -169,9 +158,9 @@ class CandidateSet:
         return self.fluxes.size
 
     @classmethod
-    def uniform(cls, fluxes: np.ndarray, spacing: float) -> "CandidateSet":
+    def uniform(cls, fluxes: np.ndarray, spacing: float, detunings: np.ndarray) -> "CandidateSet":
         n = len(fluxes)
-        return cls(fluxes, np.full(n, 1.0 / n), spacing)
+        return cls(fluxes, np.full(n, 1.0 / n), spacing, detunings)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -186,11 +175,13 @@ def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> 
 
     The N-qubit range is the N=1 range over N.  Every standard grid has
     size * N = 6144, so all three share one spacing and the N=2 and N=3
-    grids are exact subsets of the N=1 grid.
+    grids are exact subsets of the N=1 grid.  Each candidate carries its
+    detuning, which does not depend on N.
     """
     size = config.resolved_grid_size
     spacing = dynamic_range(design, bias, config.tau_min) / (size * config.n_qubits)
-    return CandidateSet.uniform(spacing * np.arange(size), spacing)
+    fluxes = spacing * np.arange(size)
+    return CandidateSet.uniform(fluxes, spacing, FringeEvaluator(design, bias).detuning(fluxes))
 
 
 def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator) -> tuple[float, float]:
@@ -404,9 +395,8 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     exact test of the step's last row, run again only when that row is a
     capped one the test never saw.
 
-    The fringe over the candidates uses ``candidates.detunings`` when set
-    (run_single sets them), else their detunings computed here, and the
-    survivors carry their slice.
+    The fringe over the candidates is evaluated at
+    ``candidates.detunings``, and the survivors carry their slice.
 
     The block buffers are views of ``workspace``, a 1-D float64 array
     (run_single sizes one with _workspace_cells) that the step writes
@@ -416,10 +406,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     if m < 2 or m % 2 != 0:
         raise ValueError("halving needs an even number of candidates, at least 2")
     tau, theta = choose_delay(candidates, evaluator)
-    detunings = candidates.detunings
-    if detunings is None:
-        detunings = evaluator.detuning(candidates.fluxes)
-    probs = evaluator.probability_at(detunings, tau, theta)
+    probs = evaluator.probability_at(candidates.detunings, tau, theta)
     p_true = float(evaluator.probability_excited(true_flux, tau, theta))
 
     half = m // 2
@@ -500,7 +487,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     window = slice(start, start + half)
     kept = posterior[r, window]
     survivors = CandidateSet(candidates.fluxes[window], kept / kept.sum(), candidates.spacing,
-                             detunings[window])
+                             candidates.detunings[window])
     return StepRecord(
         tau=tau,
         theta=theta,
@@ -558,19 +545,14 @@ class RunResult(_Traced):
 
 
 def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
-               rng: np.random.Generator, record_steps: bool = False,
-               workspace: np.ndarray | None = None) -> RunResult:
+               rng: np.random.Generator, record_steps: bool = False) -> RunResult:
     """One full estimation of one target flux.
 
-    Every step takes its block buffers from one ``workspace`` (see
-    run_step), allocated here unless given, and the detunings of its
-    candidates from one evaluation over the grid.
+    Every step takes its block buffers from one workspace (see run_step)
+    allocated here.
     """
-    grid = build_flux_grid(evaluator.design, evaluator.bias_point, config)
-    # Every step's candidates are a slice of the grid, so their detunings are too.
-    candidates = replace(grid, detunings=evaluator.detuning(grid.fluxes))
-    if workspace is None:
-        workspace = np.empty(_workspace_cells(config))
+    candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
+    workspace = np.empty(_workspace_cells(config))
     trace, records, elapsed = np.empty(config.n_steps, TRACE), [], 0.0
     for i in range(config.n_steps):
         rec = run_step(candidates, true_flux, evaluator, config, rng,

@@ -17,6 +17,7 @@ temperatures in K.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,6 +141,17 @@ def _require_operational(phi) -> None:
         raise FluxDomainError(
             f"flux must lie in [0, {OPERATIONAL_PHI_MAX}) for spectrum evaluation"
         )
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a numpy one too) and not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 # Array-capable cores shared by the other modules.  phi is raw flux in

@@ -23,16 +23,12 @@ from fluxsense import (
     PeaConfig,
     SensorDesign,
     build_flux_grid,
-    capacitive_rate,
-    critical_current_dephasing_rate,
+    composite_rates,
     field_components,
     find_optimal_flux,
-    flux_dephasing_rates,
-    inductive_rate,
     mutual_inductances,
     optimal_delay,
     posterior_update,
-    purcell_rate,
     run_campaign,
     run_single,
     simulate_projection_sequence,
@@ -71,14 +67,14 @@ REFERENCE_RATES_KHZ = {
 
 def test_criterion_1_decoherence_rates():
     with _criterion(1, 1.0, "per-channel rates match the reference table"):
-        cap_base = capacitive_rate(DESIGN, FluxBias(0.0)) / 1e3
+        cap_base = composite_rates(DESIGN, FluxBias(0.0)).gamma1_cap / 1e3
         for phi, want in REFERENCE_RATES_KHZ.items():
-            bias = FluxBias(phi)
-            gauss, exp_rate = flux_dephasing_rates(DESIGN, bias)
-            ind = inductive_rate(DESIGN, bias) / 1e3
-            cap = capacitive_rate(DESIGN, bias) / 1e3
-            curr = critical_current_dephasing_rate(DESIGN, bias) / 1e3
-            cav = purcell_rate(DESIGN, bias) / 1e3
+            r = composite_rates(DESIGN, FluxBias(phi))
+            gauss, exp_rate = r.gamma_phi_flux_gauss, r.gamma_phi_flux_exp
+            ind = r.gamma1_ind / 1e3
+            cap = r.gamma1_cap / 1e3
+            curr = r.gamma_phi_curr_gauss / 1e3
+            cav = r.gamma1_cav / 1e3
 
             assert ind == pytest.approx(want["inductive"], rel=2e-2), \
                 f"inductive rate at phi={phi}"
@@ -98,7 +94,7 @@ def test_criterion_1_decoherence_rates():
                 rel=2e-2), f"capacitive flux dependence at phi={phi}"
             assert 0.1 < cav / want["cavity"] < 10.0, \
                 f"cavity decay order of magnitude at phi={phi}"
-        cav_sweep = [purcell_rate(DESIGN, FluxBias(float(p)))
+        cav_sweep = [composite_rates(DESIGN, FluxBias(float(p))).gamma1_cav
                      for p in np.linspace(0.0, 0.4998, 100)]
         assert all(a > b for a, b in zip(cav_sweep, cav_sweep[1:])), \
             "cavity decay must fall monotonically with flux"

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +304,7 @@ def test_load_config(tmp_path):
 def test_manifest_round_trip():
     manifest = RunManifest(
         subcommand="rates",
+        argv=("rates", "--phi", "0.1,0.3", "--manifest"),
         tool_version="0.1.0",
         config=parse_config("n_qubits = 2\nmaster_seed = 42\n"),
         output_files=("a.csv", "b.json"),
@@ -312,8 +314,8 @@ def test_manifest_round_trip():
     assert restored == manifest
     assert restored.config.pea.master_seed == 42
     assert manifest_to_json(manifest) == _manifest_oracle(
-        "rates", "0.1.0", parse_config("n_qubits = 2\nmaster_seed = 42\n"),
-        ["a.csv", "b.json"], 1.25)
+        "rates", ["rates", "--phi", "0.1,0.3", "--manifest"], "0.1.0",
+        parse_config("n_qubits = 2\nmaster_seed = 42\n"), ["a.csv", "b.json"], 1.25)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -329,19 +331,25 @@ def test_manifest_round_trip():
     (lambda payload: payload.update(output_files="a.csv"),
      "manifest.output_files: expected a list of strings, got 'a.csv'"),
     (lambda payload: payload.update(subcommand=None), "manifest.subcommand: expected a string"),
+    (lambda payload: payload.pop("argv"), "manifest: missing field 'argv'"),
+    (lambda payload: payload.update(argv="rates"),
+     "manifest.argv: expected a list of strings, got 'rates'"),
+    (lambda payload: payload.update(argv=["rates", 3]),
+     "manifest.argv: expected a list of strings, got ['rates', 3]"),
 ])
 def test_manifest_from_json_names_bad_keys(edit, message):
-    payload = json.loads(manifest_to_json(RunManifest("rates", "0.1.0", parse_config(""),
-                                                      ("a.csv",), 1.0)))
+    payload = json.loads(manifest_to_json(RunManifest("rates", ("rates",), "0.1.0",
+                                                      parse_config(""), ("a.csv",), 1.0)))
     edit(payload)
     with pytest.raises(ConfigError, match=re.escape(message)):
         manifest_from_json(json.dumps(payload))
 
 
-def _manifest_oracle(subcommand, tool_version, config, output_files, wall_seconds):
+def _manifest_oracle(subcommand, argv, tool_version, config, output_files, wall_seconds):
     """Manifest text rendered field by field."""
     payload = {
         "subcommand": subcommand,
+        "argv": list(argv),
         "tool_version": tool_version,
         "config": config_to_dict(config),
         "output_files": list(output_files),
@@ -359,17 +367,19 @@ def test_cli_rates_matches_library_table(tmp_path, capsys):
 
 
 def test_cli_rates_manifest(tmp_path, capsys):
-    assert main(["rates", "--manifest", "--outdir", str(tmp_path)]) == EXIT_OK
+    argv = ["rates", "--manifest", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == str(tmp_path / "rates_manifest.json")
     text = (tmp_path / "rates_manifest.json").read_text()
     manifest = manifest_from_json(text)
     assert manifest.subcommand == "rates"
+    assert manifest.argv == tuple(argv)
     assert manifest.config.pea.master_seed == 20240917
     assert manifest.config == parse_config("")
     assert manifest.output_files == (str(tmp_path / "rates.csv"),)
     assert manifest.wall_seconds >= 0.0
-    assert text == _manifest_oracle("rates", cli.__version__, parse_config(""),
+    assert text == _manifest_oracle("rates", argv, cli.__version__, parse_config(""),
                                     [str(tmp_path / "rates.csv")],
                                     manifest.wall_seconds) + "\n"
 
@@ -538,6 +548,25 @@ def test_cli_calibration(tmp_path, capsys):
     for phi, p in zip(phi_values, evaluator.probability_excited(phi_values, config.pea.tau_min)):
         writer.writerow((f"{phi:.9g}", f"{p:.9g}"))
     assert written == buf.getvalue().encode()
+
+
+def test_cli_calibration_manifest_replays_its_flags(tmp_path, capsys, monkeypatch):
+    # the resolved configuration does not hold calibration's flags; argv does,
+    # and replaying it writes the same pattern
+    flags = ["calibration", "--n-qubits", "3", "--tau-ns", "250", "--points", "64",
+             "--theta", "0.5", "--manifest"]
+    monkeypatch.setattr(sys, "argv", ["fluxsense", *flags, "--outdir", str(tmp_path / "a")])
+    assert main() == EXIT_OK
+    manifest = manifest_from_json((tmp_path / "a" / "calibration_manifest.json").read_text())
+    assert manifest.argv == (*flags, "--outdir", str(tmp_path / "a"))
+    assert manifest.config == parse_config("")  # no flag reaches the configuration
+    assert main([*manifest.argv[:-1], str(tmp_path / "b")]) == EXIT_OK
+    assert main(["calibration", "--outdir", str(tmp_path / "default")]) == EXIT_OK
+    capsys.readouterr()
+    pattern = (tmp_path / "a" / "calibration_pattern.csv").read_bytes()
+    assert (tmp_path / "b" / "calibration_pattern.csv").read_bytes() == pattern
+    assert (tmp_path / "default" / "calibration_pattern.csv").read_bytes() != pattern
+    assert len(pattern.splitlines()) == 1 + 64
 
 
 def test_cli_inductance(tmp_path, capsys):

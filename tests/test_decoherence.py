@@ -9,13 +9,8 @@ import pytest
 from fluxsense import FluxBias, SensorDesign, coupling_g01, transition_frequency
 from fluxsense.decoherence import (
     RATES_TABLE_HEADER,
-    capacitive_rate,
     channel_rates,
     composite_rates,
-    critical_current_dephasing_rate,
-    flux_dephasing_rates,
-    inductive_rate,
-    purcell_rate,
     rates_table,
 )
 
@@ -36,79 +31,76 @@ CHANNEL_RATES = {
 def test_channel_rates_frozen(phi):
     bias = FluxBias(phi)
     cav, ind, cap, fl_exp, fl_gauss, curr = CHANNEL_RATES[phi]
-    assert purcell_rate(DESIGN, bias) == pytest.approx(cav, rel=1e-12)
-    assert inductive_rate(DESIGN, bias) == pytest.approx(ind, rel=1e-12)
-    assert capacitive_rate(DESIGN, bias) == pytest.approx(cap, rel=1e-12)
-    gauss, exp = flux_dephasing_rates(DESIGN, bias)
-    assert exp == pytest.approx(fl_exp, rel=1e-12)
+    r = composite_rates(DESIGN, bias)
+    assert r.gamma1_cav == pytest.approx(cav, rel=1e-12)
+    assert r.gamma1_ind == pytest.approx(ind, rel=1e-12)
+    assert r.gamma1_cap == pytest.approx(cap, rel=1e-12)
+    assert r.gamma_phi_flux_exp == pytest.approx(fl_exp, rel=1e-12)
     if fl_gauss:
-        assert gauss == pytest.approx(fl_gauss, rel=1e-12)
+        assert r.gamma_phi_flux_gauss == pytest.approx(fl_gauss, rel=1e-12)
     else:
-        assert gauss == 0.0
-    assert critical_current_dephasing_rate(DESIGN, bias) == pytest.approx(curr, rel=1e-12)
+        assert r.gamma_phi_flux_gauss == 0.0
+    assert r.gamma_phi_curr_gauss == pytest.approx(curr, rel=1e-12)
+
+
+def _rate(design, phi, channel):
+    """One channel of composite_rates at flux ``phi``, 1/s."""
+    return getattr(composite_rates(design, FluxBias(phi)), channel)
 
 
 def test_inductive_rate_reference_points():
-    assert inductive_rate(DESIGN, FluxBias(0.0)) == pytest.approx(7.21e4, rel=1e-3)
-    assert inductive_rate(DESIGN, FluxBias(0.4)) == pytest.approx(6.6e3, rel=3e-3)
+    assert _rate(DESIGN, 0.0, "gamma1_ind") == pytest.approx(7.21e4, rel=1e-3)
+    assert _rate(DESIGN, 0.4, "gamma1_ind") == pytest.approx(6.6e3, rel=3e-3)
     off = dataclasses.replace(DESIGN, m_ind=0.0, m_parasitic=0.0)
-    assert inductive_rate(off, FluxBias(0.3)) == 0.0
+    assert _rate(off, 0.3, "gamma1_ind") == 0.0
 
 
 def test_purcell_rate_scalings():
-    bias = FluxBias(0.3)
-    base = purcell_rate(DESIGN, bias)
-    doubled = purcell_rate(dataclasses.replace(DESIGN, kappa=2 * DESIGN.kappa), bias)
+    base = _rate(DESIGN, 0.3, "gamma1_cav")
+    doubled = _rate(dataclasses.replace(DESIGN, kappa=2 * DESIGN.kappa), 0.3, "gamma1_cav")
     assert doubled == pytest.approx(2 * base, rel=1e-12)
-    assert purcell_rate(dataclasses.replace(DESIGN, beta=0.0), bias) == 0.0
+    assert _rate(dataclasses.replace(DESIGN, beta=0.0), 0.3, "gamma1_cav") == 0.0
     # flux dependence follows the squared coupling ratio
     g_ratio = coupling_g01(DESIGN, FluxBias(0.4)) / coupling_g01(DESIGN, FluxBias(0.0))
-    rate_ratio = purcell_rate(DESIGN, FluxBias(0.4)) / purcell_rate(DESIGN, FluxBias(0.0))
+    rate_ratio = _rate(DESIGN, 0.4, "gamma1_cav") / _rate(DESIGN, 0.0, "gamma1_cav")
     assert rate_ratio == pytest.approx(g_ratio**2, rel=1e-12)
     assert rate_ratio == pytest.approx(0.218, rel=1e-2)
 
 
 def test_capacitive_rate_scalings():
-    bias = FluxBias(0.3)
-    base = capacitive_rate(DESIGN, bias)
-    doubled = capacitive_rate(dataclasses.replace(DESIGN, c_c=2 * DESIGN.c_c), bias)
+    base = _rate(DESIGN, 0.3, "gamma1_cap")
+    doubled = _rate(dataclasses.replace(DESIGN, c_c=2 * DESIGN.c_c), 0.3, "gamma1_cap")
     assert doubled == pytest.approx(4 * base, rel=1e-12)
     # flux ratio tracks the squared frequency ratio and the tabulated 29.3/99.3
     f_ratio = (transition_frequency(DESIGN, FluxBias(0.4))
                / transition_frequency(DESIGN, FluxBias(0.0)))
-    rate_ratio = capacitive_rate(DESIGN, FluxBias(0.4)) / capacitive_rate(DESIGN, FluxBias(0.0))
+    rate_ratio = _rate(DESIGN, 0.4, "gamma1_cap") / _rate(DESIGN, 0.0, "gamma1_cap")
     assert rate_ratio == pytest.approx(f_ratio**2, rel=1e-12)
     assert rate_ratio == pytest.approx(29.3 / 99.3, rel=1e-2)
 
 
 def test_flux_dephasing_sweet_spot():
-    gauss, exp = flux_dephasing_rates(DESIGN, FluxBias(0.0))
-    assert gauss == 0.0
-    assert exp == pytest.approx(2.83, rel=1e-2)
+    r = composite_rates(DESIGN, FluxBias(0.0))
+    assert r.gamma_phi_flux_gauss == 0.0
+    assert r.gamma_phi_flux_exp == pytest.approx(2.83, rel=1e-2)
 
 
 def test_critical_current_rate_values():
-    assert critical_current_dephasing_rate(DESIGN, FluxBias(0.0)) == pytest.approx(
-        2.91e4, rel=5e-3)
-    assert critical_current_dephasing_rate(DESIGN, FluxBias(0.4)) == pytest.approx(
-        1.62e4, rel=5e-3)
+    assert _rate(DESIGN, 0.0, "gamma_phi_curr_gauss") == pytest.approx(2.91e4, rel=5e-3)
+    assert _rate(DESIGN, 0.4, "gamma_phi_curr_gauss") == pytest.approx(1.62e4, rel=5e-3)
     # cos -> 0 towards the half-period
-    near_edge = critical_current_dephasing_rate(DESIGN, FluxBias(0.4998))
-    assert near_edge < 0.03 * critical_current_dephasing_rate(DESIGN, FluxBias(0.0))
+    near_edge = _rate(DESIGN, 0.4998, "gamma_phi_curr_gauss")
+    assert near_edge < 0.03 * _rate(DESIGN, 0.0, "gamma_phi_curr_gauss")
 
 
 def test_monotonicity_in_flux():
-    phis = np.linspace(0.0, 0.49, 80)
-    biases = [FluxBias(float(p)) for p in phis]
-    decreasing = (purcell_rate, inductive_rate, capacitive_rate,
-                  critical_current_dephasing_rate)
-    for rate in decreasing:
-        values = [rate(DESIGN, b) for b in biases]
-        assert all(a >= b for a, b in zip(values, values[1:])), rate.__name__
-    gauss = [flux_dephasing_rates(DESIGN, b)[0] for b in biases]
-    exp = [flux_dephasing_rates(DESIGN, b)[1] for b in biases]
-    assert all(a <= b for a, b in zip(gauss, gauss[1:]))
-    assert all(a <= b for a, b in zip(exp, exp[1:]))
+    rates = [composite_rates(DESIGN, FluxBias(float(p))) for p in np.linspace(0.0, 0.49, 80)]
+    for channel in ("gamma1_cav", "gamma1_ind", "gamma1_cap", "gamma_phi_curr_gauss"):
+        values = [getattr(r, channel) for r in rates]
+        assert all(a >= b for a, b in zip(values, values[1:])), channel
+    for channel in ("gamma_phi_flux_gauss", "gamma_phi_flux_exp"):
+        values = [getattr(r, channel) for r in rates]
+        assert all(a <= b for a, b in zip(values, values[1:])), channel
 
 
 def test_composite_rates_envelope():
@@ -152,9 +144,9 @@ def test_rates_table_layout():
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
     # kHz columns are the 1/s rates over 1000
-    assert float(row[2]) == pytest.approx(inductive_rate(DESIGN, FluxBias(0.0)) / 1e3, rel=1e-8)
-    assert float(row[6]) == pytest.approx(
-        critical_current_dephasing_rate(DESIGN, FluxBias(0.0)) / 1e3, rel=1e-8)
+    assert float(row[2]) == pytest.approx(_rate(DESIGN, 0.0, "gamma1_ind") / 1e3, rel=1e-8)
+    assert float(row[6]) == pytest.approx(_rate(DESIGN, 0.0, "gamma_phi_curr_gauss") / 1e3,
+                                          rel=1e-8)
 
 
 def test_rates_table_edge_cases():

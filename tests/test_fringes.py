@@ -104,8 +104,17 @@ def test_domain_errors():
     for tau, theta in ((math.nan, 0.0), (math.inf, 0.0), (1e-7, math.inf)):
         with pytest.raises(ValueError):
             ev.probability_excited(0.0, tau, theta)
-    with pytest.raises(ValueError):
-        FringeEvaluator(DESIGN, BIAS, n_qubits=0)
+
+
+@pytest.mark.parametrize("n_qubits", [0, -1, 2.5, 2.0, True, False, None, "2"])
+def test_n_qubits_must_be_a_positive_integer(n_qubits):
+    with pytest.raises(ValueError, match="n_qubits must be an integer of at least 1"):
+        FringeEvaluator(DESIGN, BIAS, n_qubits=n_qubits)
+
+
+def test_n_qubits_accepts_numpy_integers():
+    assert FringeEvaluator(DESIGN, BIAS, n_qubits=np.int64(2)).probability_excited(
+        0.0, 1e-7) == FringeEvaluator(DESIGN, BIAS, n_qubits=2).probability_excited(0.0, 1e-7)
 
 
 def _is_unitary(u):

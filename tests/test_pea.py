@@ -76,21 +76,30 @@ def test_config_resolved_grid_size():
 
 def test_candidate_set_validation():
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(3.0), np.array([0.5, 0.5]), 1.0)
+        CandidateSet(np.arange(3.0), np.array([0.5, 0.5]), 1.0, np.zeros(3))
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([0.6, 0.6]), 1.0)
+        CandidateSet(np.arange(2.0), np.array([0.6, 0.6]), 1.0, np.zeros(2))
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([1.2, -0.2]), 1.0)
+        CandidateSet(np.arange(2.0), np.array([1.2, -0.2]), 1.0, np.zeros(2))
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([np.nan, np.nan]), 1.0)
+        CandidateSet(np.arange(2.0), np.array([np.nan, np.nan]), 1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("detunings", [np.zeros(3), np.zeros(1), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), np.float64(0.0)])
+def test_candidate_set_rejects_detunings_of_another_shape(detunings):
+    with pytest.raises(ValueError, match="detunings must match fluxes"):
+        CandidateSet(np.arange(2.0), np.array([0.5, 0.5]), 1.0, detunings)
+    with pytest.raises(ValueError, match="detunings must match fluxes"):
+        CandidateSet.uniform(np.arange(2.0), 1.0, detunings)
 
 
 def test_candidate_set_interval_and_mean():
-    grid = CandidateSet.uniform(np.array([0.0, 1.0, 2.0, 3.0]), 1.0)
+    grid = CandidateSet.uniform(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, np.zeros(4))
     assert len(grid) == 4
     assert grid.interval == (0.0, 4.0)
     assert np.all(grid.weights == 0.25)
-    skewed = CandidateSet(np.array([0.0, 1.0]), np.array([0.25, 0.75]), 1.0)
+    skewed = CandidateSet(np.array([0.0, 1.0]), np.array([0.25, 0.75]), 1.0, np.zeros(2))
     assert skewed.posterior_mean() == pytest.approx(0.75, rel=1e-15)
 
 
@@ -110,6 +119,16 @@ def test_standard_grids_nest():
     g3 = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=3))
     assert np.array_equal(g2.fluxes, g1.fluxes[:3072])
     assert np.array_equal(g3.fluxes, g1.fluxes[:2048])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("grid_size, n_steps", [(None, 9), (64, 6)])
+def test_grid_carries_the_detuning_of_every_flux(n_qubits, grid_size, n_steps):
+    # the one place the detunings come from: the grid, for every sensor
+    config = PeaConfig(n_qubits=n_qubits, grid_size=grid_size, n_steps=n_steps)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    evaluator = FringeEvaluator(DESIGN, BIAS, n_qubits=n_qubits)
+    assert np.array_equal(grid.detunings, evaluator.detuning(grid.fluxes))
 
 
 def test_grid_span_matches_unambiguous_range():
@@ -215,7 +234,7 @@ def test_phase_centres_fringe_on_interval():
 
 def test_choose_delay_zero_span():
     config = PeaConfig()
-    degenerate = CandidateSet.uniform(np.zeros(2), 0.0)
+    degenerate = CandidateSet.uniform(np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ArithmeticError):
         choose_delay(degenerate, _evaluator(1))
 
@@ -224,7 +243,7 @@ def test_delay_caps_at_optimum_under_decoherence():
     config = PeaConfig(n_qubits=2)
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(2, decohere=True)
-    narrow = CandidateSet.uniform(grid.fluxes[:2], grid.spacing)
+    narrow = CandidateSet.uniform(grid.fluxes[:2], grid.spacing, grid.detunings[:2])
     tau, _ = choose_delay(narrow, evaluator)
     a, b = evaluator.envelope_rates
     assert tau == optimal_delay(a, b, 2)
@@ -245,10 +264,10 @@ def test_run_step_rejects_bad_cardinality():
     config = PeaConfig()
     evaluator = _evaluator(1)
     rng = np.random.default_rng(0)
-    odd = CandidateSet.uniform(np.arange(3.0) * 1e-8, 1e-8)
+    odd = CandidateSet.uniform(np.arange(3.0) * 1e-8, 1e-8, np.zeros(3))
     with pytest.raises(ValueError):
         run_step(odd, 0.0, evaluator, config, rng)
-    single = CandidateSet.uniform(np.array([0.0]), 1e-8)
+    single = CandidateSet.uniform(np.array([0.0]), 1e-8, np.zeros(1))
     with pytest.raises(ValueError):
         run_step(single, 0.0, evaluator, config, rng)
 
@@ -309,7 +328,7 @@ def _replay_step(candidates, rec, evaluator, config):
         assert count == config.measurement_cap
     kept = weights[start:start + half]
     return CandidateSet(candidates.fluxes[start:start + half], kept / kept.sum(),
-                        candidates.spacing)
+                        candidates.spacing, candidates.detunings[start:start + half])
 
 
 def _level_span_nats(readouts, config):
@@ -479,25 +498,11 @@ def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
     assert passed[decided].all(), "the screen rejected a deciding row"
 
 
-def _assert_same_run(result, fresh):
-    for name in ("delays", "counts", "estimates", "cumulative_time", "cap_hits", "retained"):
-        assert np.array_equal(getattr(result, name), getattr(fresh, name)), name
-    for rec, ref in zip(result.steps, fresh.steps, strict=True):
-        assert (rec.tau, rec.theta, rec.n_measurements, rec.cap_hit, rec.readouts) == \
-            (ref.tau, ref.theta, ref.n_measurements, ref.cap_hit, ref.readouts)
-        assert np.array_equal(rec.survivors.fluxes, ref.survivors.fluxes)
-        assert np.array_equal(rec.survivors.weights, ref.survivors.weights)
-
-
-def test_reused_workspace_matches_fresh_buffers(monkeypatch):
-    # one NaN-filled workspace through runs of different layouts against
-    # zeroed buffers made fresh for every step: a read of a cell the step
-    # did not write, or survivors that share the workspace, change a record
-    step = pea.run_step
-
-    def fresh_step(*args, workspace, **kwargs):
-        return step(*args, workspace=np.zeros(workspace.size), **kwargs)
-
+def test_reused_workspace_matches_fresh_buffers():
+    # one NaN-filled workspace through every step of runs of different
+    # layouts against zeroed buffers made fresh for every step: a read of a
+    # cell the step did not write, or survivors that share the workspace,
+    # change a record.  The records are compared once all runs are done.
     configs = [
         PeaConfig(n_qubits=1, decoherence_enabled=False),
         PeaConfig(n_qubits=3),
@@ -505,28 +510,38 @@ def test_reused_workspace_matches_fresh_buffers(monkeypatch):
         PeaConfig(n_qubits=1, measurement_cap=40, decoherence_enabled=False),
     ]
     workspace = np.full(max(pea._workspace_cells(c) for c in configs), np.nan)
+    pairs = []
     for seed, config in enumerate(configs):
         evaluator = _evaluator(config.n_qubits, config.decoherence_enabled)
         grid = build_flux_grid(DESIGN, BIAS, config)
         true_flux = float(grid.fluxes[(901 * seed) % len(grid)])
-        reused = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
-                            record_steps=True, workspace=workspace)
-        with monkeypatch.context() as patch:
-            patch.setattr(pea, "run_step", fresh_step)
-            fresh = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
-                               record_steps=True)
-        _assert_same_run(reused, fresh)
-    assert not np.isnan(workspace).all(), "the runs did not use the workspace"
+        reused_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        reused = fresh = grid
+        for _ in range(config.n_steps):
+            rec = run_step(reused, true_flux, evaluator, config, reused_rng,
+                           record_readouts=True, workspace=workspace)
+            ref = run_step(fresh, true_flux, evaluator, config, fresh_rng,
+                           record_readouts=True, workspace=np.zeros(workspace.size))
+            pairs.append((rec, ref))
+            reused, fresh = rec.survivors, ref.survivors
+    for rec, ref in pairs:
+        assert (rec.tau, rec.theta, rec.n_measurements, rec.cap_hit, rec.readouts) == \
+            (ref.tau, ref.theta, ref.n_measurements, ref.cap_hit, ref.readouts)
+        assert np.array_equal(rec.survivors.fluxes, ref.survivors.fluxes)
+        assert np.array_equal(rec.survivors.weights, ref.survivors.weights)
+    assert any(rec.cap_hit for rec, _ in pairs), "no capped step"
+    assert not np.isnan(workspace).all(), "the steps did not use the workspace"
     with pytest.raises(ValueError, match="workspace"):
         run_step(grid, true_flux, evaluator, config, np.random.default_rng(0),
                  workspace=np.empty(10))
 
 
-# Peak traced memory of one warm run_step with a run's workspace: 204 KiB
-# at most on every step of the standard decohered runs (m = 6144 down to
-# 8), so the bound has 2x headroom.  A step that allocates its own block
-# buffers peaks at 590-998 KiB.
-_STEP_PEAK_BYTES = 2 * 204 * 1024
+# Peak traced memory of one warm run_step with a run's workspace, on the
+# grid's detunings as in a run: 181 KiB at most on every step of the
+# standard decohered runs (m = 6144 down to 8), so the bound has 2x
+# headroom.  A step that allocates its own block buffers peaks at
+# 594-734 KiB.
+_STEP_PEAK_BYTES = 2 * 181 * 1024
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -552,9 +567,9 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
 
 @pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
 def test_survivors_carry_their_slice_of_the_grid_detunings(n_qubits, decohere):
-    # run_single computes the detuning of every grid flux once; the fringe
-    # at each survivor set's slice of them is the fringe at its fluxes, bit
-    # for bit, at the delay and phase of every step
+    # build_flux_grid computes the detuning of every grid flux once; the
+    # fringe at each survivor set's slice of them is the fringe at its
+    # fluxes, bit for bit, at the delay and phase of every step
     config = PeaConfig(n_qubits=n_qubits, decoherence_enabled=decohere)
     evaluator = _evaluator(n_qubits, decohere)
     grid = build_flux_grid(DESIGN, BIAS, config)
@@ -570,7 +585,7 @@ def test_survivors_carry_their_slice_of_the_grid_detunings(n_qubits, decohere):
 def test_run_step_two_candidates():
     config = PeaConfig(n_qubits=1, grid_size=16, n_steps=4, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
-    pair = CandidateSet.uniform(grid.fluxes[:2], grid.spacing)
+    pair = CandidateSet.uniform(grid.fluxes[:2], grid.spacing, grid.detunings[:2])
     rec = run_step(pair, float(grid.fluxes[0]), _evaluator(1), config,
                    np.random.default_rng(12))
     assert len(rec.survivors) == 1
