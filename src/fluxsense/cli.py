@@ -10,8 +10,10 @@ pea            phase-estimation campaign (per-step and per-run CSVs)
 inductance     bias-line mutual and parasitic inductances
 
 All data outputs are CSV (one header row, 9-significant-digit floats)
-or JSON.  A run manifest capturing the resolved configuration is
-written when ``--manifest`` is passed; ``pea`` always writes one.
+or JSON.  A run manifest capturing the arguments and the resolved
+configuration is written when ``--manifest`` is passed; ``pea`` always
+writes one.  Its ``config`` is ``config_to_text`` text, so saved to a
+file it is a ``--config`` file that repeats the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O failure.  Errors are reported as one JSON object on stderr.
@@ -34,14 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _csvtext
-from .config import (
-    ConfigError,
-    ToolConfig,
-    checked_fields,
-    config_from_dict,
-    load_config,
-    parse_config,
-)
+from .config import ConfigError, ToolConfig, config_to_text, load_config, parse_config
 from .decoherence import rates_table
 from .fringes import FringeEvaluator, pattern_grid
 from .magnetostatics import mutual_inductances
@@ -73,25 +68,18 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one invocation: its arguments and
-    the configuration they resolved to."""
+    the configuration they resolved to, as ``config_to_text`` text."""
 
     subcommand: str
     argv: tuple[str, ...]
     tool_version: str
-    config: ToolConfig
+    config: str
     output_files: tuple[str, ...]
     wall_seconds: float
 
 
 def manifest_to_json(manifest: RunManifest) -> str:
     return json.dumps(asdict(manifest), indent=2, sort_keys=True)
-
-
-def manifest_from_json(text: str) -> RunManifest:
-    payload = checked_fields(RunManifest, json.loads(text), "manifest")
-    return RunManifest(**{**payload, "config": config_from_dict(payload["config"]),
-                          "argv": tuple(payload["argv"]),
-                          "output_files": tuple(payload["output_files"])})
 
 
 def _emit_error(kind: str, message: str, exit_code: int) -> None:
@@ -306,7 +294,7 @@ def _run(args, argv: tuple[str, ...]) -> int:
             subcommand=args.subcommand,
             argv=argv,
             tool_version=__version__,
-            config=config,
+            config=config_to_text(config),
             output_files=tuple(str(p) for p in outputs),
             wall_seconds=time.perf_counter() - started,
         )

@@ -20,6 +20,10 @@ or the ``_um`` aliases) take ``;``-separated rectangles, each
 -1; a unit alias scales the corners only).  Setting a group replaces
 its whole default rectangle set.
 
+``config_to_text`` writes a resolved configuration back as canonical
+text, floats exactly; run manifests store it, and ``parse_config`` is
+the one reader of both.
+
 Only the dataclasses check ranges, finiteness included, so a value
 meets the same rules however it arrives.  A rejected configuration is
 reported at the first line whose value fails on its own over the
@@ -30,13 +34,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .magnetostatics import BiasLineGeometry, FluxPatch
 from .pea import PeaConfig
-from .qubit import FluxBias, SensorDesign, _is_integer
+from .qubit import FluxBias, SensorDesign
 
 DEFAULT_BIAS_PHI = 0.442  # operating point of the reference sensor
 
@@ -119,7 +122,7 @@ _ALIASES = {
 
 
 def _derive_keys() -> tuple[dict[str, type], dict[str, tuple[tuple[str, ...], object]]]:
-    """ToolConfig's dataclass sections, and key -> (path in config_to_dict form, parser)."""
+    """ToolConfig's dataclass sections, and key -> (path in nested section form, parser)."""
     sections: dict[str, type] = {}
     keys: dict[str, tuple[tuple[str, ...], object]] = {}
     for outer, outer_type in get_type_hints(ToolConfig).items():
@@ -170,7 +173,7 @@ def _assign(data: dict, path: tuple[str, ...], value) -> dict:
 
 
 def _build(data: dict) -> ToolConfig:
-    """ToolConfig from ``config_to_dict`` form; omitted fields take their defaults."""
+    """ToolConfig from nested section form; omitted fields take their defaults."""
     sections = {name: cls(**data.get(name, {})) for name, cls in _SECTIONS.items()}
     return ToolConfig(**sections, **{k: v for k, v in data.items() if k not in _SECTIONS})
 
@@ -208,73 +211,22 @@ def load_config(path) -> ToolConfig:
         return parse_config(handle.read())
 
 
-def config_to_dict(config: ToolConfig) -> dict:
-    """Plain-data view of a resolved configuration (JSON-friendly)."""
-    return asdict(config)
+def _value_text(value) -> str:
+    """``value`` as config text; ``str`` of a float is its round-tripping ``repr``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):  # a rectangle group, every FluxPatch value written
+        return "; ".join(", ".join(map(_value_text, astuple(patch))) for patch in value)
+    return str(value)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# Field type -> test of a plain-data value for it, and what the test expects.
-# Fields of other types (sections, rectangles) are checked on their own.
-_PLAIN_TYPES = {
-    float: (_is_number, "a number"),
-    int: (_is_integer, "an integer"),
-    int | None: (lambda value: value is None or _is_integer(value), "an integer or null"),
-    bool: (lambda value: isinstance(value, bool), "true or false"),
-    str: (lambda value: isinstance(value, str), "a string"),
-    tuple[str, ...]: (lambda value: isinstance(value, (list, tuple))
-                      and all(isinstance(item, str) for item in value), "a list of strings"),
-}
-
-
-def checked_fields(cls: type, data, where: str) -> dict:
-    """``data`` as keyword arguments of the dataclass ``cls``: a dict that sets
-    every field without a default, no other key, and each field of a plain
-    type to a value of that type, else ConfigError naming the field after
-    ``where``.  The dataclass still checks each value's range."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object, got {data!r}")
-    hints = get_type_hints(cls)
-    for spec in fields(cls):
-        if spec.name in data:
-            test, expected = _PLAIN_TYPES.get(hints[spec.name], (None, None))
-            if test and not test(data[spec.name]):
-                raise ConfigError(f"{where}.{spec.name}: expected {expected}, "
-                                  f"got {data[spec.name]!r}")
-        elif spec.default is MISSING and spec.default_factory is MISSING:
-            raise ConfigError(f"{where}: missing field {spec.name!r}")
-    unknown = sorted(data.keys() - {spec.name for spec in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
-    return data
-
-
-def config_from_dict(data: dict) -> ToolConfig:
-    """Inverse of config_to_dict; the dataclasses validate every value.
-
-    A section or field left out takes its default.  An unknown key, a
-    value of the wrong type, or a rectangle that is not an object of x1,
-    x2, y1, y2 and optionally orientation or that FluxPatch rejects,
-    raises ConfigError naming it.
-    """
-    checked_fields(ToolConfig, data, "config")
-    for name, cls in _SECTIONS.items():
-        checked_fields(cls, data.get(name, {}), name)
-    geometry = dict(data.get("geometry", {}))
-    for name, hint in get_type_hints(BiasLineGeometry).items():
-        if hint == _PATCHES and name in geometry:
-            if not isinstance(geometry[name], (list, tuple)):
-                raise ConfigError(f"geometry.{name}: expected a list of rectangles")
-            patches = []
-            for i, entry in enumerate(geometry[name], start=1):
-                where = f"geometry.{name} rectangle {i}"
-                corners = checked_fields(FluxPatch, entry, where)
-                try:
-                    patches.append(FluxPatch(**corners))
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from exc
-            geometry[name] = tuple(patches)
-    return _build({**data, "geometry": geometry})
+def config_to_text(config: ToolConfig) -> str:
+    """Inverse of parse_config: every field under its canonical key, in
+    ToolConfig field order.  A field that is None is left out, so it keeps
+    its default."""
+    lines = []
+    for key, (path, _) in _KEYS.items():
+        value = functools.reduce(getattr, path, config)
+        if key not in _ALIASES and value is not None:
+            lines.append(f"{key} = {_value_text(value)}\n")
+    return "".join(lines)

@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import math
-import re
+import random
 import sys
 
 import numpy as np
@@ -13,18 +13,20 @@ from fluxsense import (
     BiasLineGeometry,
     ConfigError,
     FluxBias,
+    FluxPatch,
     FringeEvaluator,
+    OPERATIONAL_PHI_MAX,
     PeaConfig,
     SensorDesign,
-    config_from_dict,
-    config_to_dict,
+    ToolConfig,
+    config_to_text,
     dynamic_range,
     load_config,
     parse_config,
     rates_table,
     ridge_scan,
 )
-from fluxsense import cli
+from fluxsense import GRID_SIZES, cli
 from fluxsense.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -32,9 +34,9 @@ from fluxsense.cli import (
     EXIT_OK,
     RunManifest,
     main,
-    manifest_from_json,
     manifest_to_json,
 )
+from fluxsense.pea import TARGET_GRID_SIZE
 
 
 def _stderr_error(capsys):
@@ -127,102 +129,61 @@ def test_config_errors(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+def _replaced(section, field, value):
+    """The default configuration's section (or the ToolConfig itself) with one field set."""
+    config = parse_config("")
+    return dataclasses.replace(getattr(config, section) if section else config, **{field: value})
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("pea", "master_seed", -3),
     ("geometry", "x_a", -1.0),
     (None, "bias_phi", 0.7),
 ])
-def test_config_from_dict_validates(section, field, value):
-    payload = config_to_dict(parse_config(""))
-    (payload[section] if section else payload)[field] = value
+def test_dataclasses_validate(section, field, value):
     with pytest.raises(ValueError):
-        config_from_dict(payload)
-
-
-def _drop_x2(payload):
-    del payload["geometry"]["squid_patches"][0]["x2"]
-
-
-@pytest.mark.parametrize("edit,message", [
-    (_drop_x2, "geometry.squid_patches rectangle 1: missing field 'x2'"),
-    (lambda payload: payload["pea"].update(bogus=1), "pea: unknown field 'bogus'"),
-    (lambda payload: payload.update(extra=1), "config: unknown field 'extra'"),
-    (lambda payload: payload.update(pea=[]), "pea: expected an object"),
-    (lambda payload: payload["geometry"].update(gap_patches=1.0),
-     "geometry.gap_patches: expected a list"),
-    (lambda payload: payload["geometry"].update(gap_patches=[[1, 2, 3, 4]]),
-     "geometry.gap_patches rectangle 1: expected an object"),
-    (lambda payload: payload["geometry"]["squid_patches"][1].update(x1=1.0),
-     "geometry.squid_patches rectangle 2: rectangle needs finite x1 < x2"),
-    (lambda payload: payload["geometry"]["gap_patches"][0].update(y2="9"),
-     "geometry.gap_patches rectangle 1.y2: expected a number, got '9'"),
-    # values of the wrong type, which the range checks cannot compare
-    (lambda payload: payload["pea"].update(sigma0="abc"),
-     "pea.sigma0: expected a number, got 'abc'"),
-    (lambda payload: payload["design"].update(z0="50"), "design.z0: expected a number, got '50'"),
-    (lambda payload: payload["geometry"].update(x_a=None),
-     "geometry.x_a: expected a number, got None"),
-    (lambda payload: payload.update(bias_phi=[0.4]), "config.bias_phi: expected a number"),
-    (lambda payload: payload["pea"].update(grid_size="6144"),
-     "pea.grid_size: expected an integer or null, got '6144'"),
-])
-def test_config_from_dict_names_bad_keys(edit, message):
-    payload = json.loads(json.dumps(config_to_dict(parse_config(""))))
-    edit(payload)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        config_from_dict(payload)
-
-
-def test_config_from_dict_defaults_left_out_keys():
-    # a missing section or field takes its default, as an omitted config key does
-    payload = config_to_dict(parse_config("z0 = 30\nmaster_seed = 5\n"))
-    del payload["geometry"]
-    del payload["pea"]["n_steps"]
-    del payload["bias_phi"]
-    assert config_from_dict(payload) == parse_config("z0 = 30\nmaster_seed = 5\n")
-    assert config_from_dict({}) == parse_config("")
+        _replaced(section, field, value)
 
 
 def _float_leaves():
     """(section, field) of every scalar float of the default configuration."""
-    for key, value in config_to_dict(parse_config("")).items():
+    config = parse_config("")
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
         if isinstance(value, float):
-            yield None, key
-        elif isinstance(value, dict):
-            yield from ((key, name) for name, leaf in value.items() if isinstance(leaf, float))
+            yield None, spec.name
+        elif dataclasses.is_dataclass(value):
+            yield from ((spec.name, leaf.name) for leaf in dataclasses.fields(value)
+                        if isinstance(getattr(value, leaf.name), float))
 
 
 # Each of these has a lower bound and is closed at infinity: NaN, +inf and -inf all fail.
 @pytest.mark.parametrize("section,field", [*_float_leaves(), ("pea", "measurement_cap")])
-def test_config_from_dict_rejects_nan(section, field):
+def test_dataclasses_reject_nan(section, field):
     for value in (math.nan, math.inf, -math.inf):
-        payload = config_to_dict(parse_config(""))
-        (payload[section] if section else payload)[field] = value
         with pytest.raises(ValueError, match=field if section else "flux bias"):
-            config_from_dict(payload)
+            _replaced(section, field, value)
 
 
 def _pea_int_leaves():
     """Every integer field of the default configuration's pea section."""
-    return [name for name, leaf in config_to_dict(parse_config(""))["pea"].items()
-            if isinstance(leaf, int) and not isinstance(leaf, bool)]
+    pea = parse_config("").pea
+    return [spec.name for spec in dataclasses.fields(pea)
+            if isinstance(getattr(pea, spec.name), int)
+            and not isinstance(getattr(pea, spec.name), bool)]
 
 
 @pytest.mark.parametrize("field", [*_pea_int_leaves(), "grid_size"])
-def test_config_from_dict_rejects_non_integers(field):
+def test_pea_config_rejects_non_integers(field):
     for value in (math.inf, 2.5, True):
-        payload = config_to_dict(parse_config(""))
-        payload["pea"][field] = value
         with pytest.raises(ValueError, match=field):
-            config_from_dict(payload)
+            _replaced("pea", field, value)
 
 
-def test_config_from_dict_rejects_non_bools():
+def test_pea_config_rejects_non_bools():
     for value in ("false", 2.5, 0, None):
-        payload = config_to_dict(parse_config(""))
-        payload["pea"]["decoherence_enabled"] = value
         with pytest.raises(ValueError, match="decoherence_enabled"):
-            config_from_dict(payload)
+            _replaced("pea", "decoherence_enabled", value)
 
 
 def test_every_dataclass_field_is_a_config_key():
@@ -263,36 +224,81 @@ def test_rectangle_overrides_replace_group():
     assert config.geometry.gap_patches[1].x1 == pytest.approx(-12e-6, rel=1e-12)
 
 
-def _config_text(payload):
-    """Canonical ``key = value`` lines of a config_to_dict payload; rectangles joined by ';'."""
-    lines = []
-    for key, value in payload.items():
-        for name, leaf in value.items() if isinstance(value, dict) else [(key, value)]:
-            if isinstance(leaf, tuple):
-                leaf = "; ".join(", ".join(str(v) for v in patch.values()) for patch in leaf)
-            if leaf is not None:  # an unset optional field keeps its default
-                lines.append(f"{name} = {leaf}\n")
-    return "".join(lines)
+def _float17(rng, low, high):
+    """A float in [low, high) whose repr needs all 17 significant digits."""
+    while True:
+        value = rng.uniform(low, high)
+        if len(repr(value).split("e")[0].lstrip("-0.").replace(".", "")) == 17:
+            return value
 
 
-def test_config_dict_round_trip():
-    config = parse_config(
-        "f_q_max_ghz = 7\n"
-        "n_qubits = 3\n"
-        "bias_phi = 0.41\n"
-        "squid_patches_um = -10, 10, 5, 15\n"
-    )
-    payload = json.loads(json.dumps(config_to_dict(config)))
-    assert config_from_dict(payload) == config
-    # config text written from the plain-data view parses back to the same config
+def _patches(rng):
+    """One to four valid rectangles with 17-digit corners and random orientations."""
+    patches = []
+    for _ in range(rng.randint(1, 4)):
+        x1, y1 = _float17(rng, -1e-4, 1e-4), _float17(rng, -1e-4, 1e-4)
+        patches.append(FluxPatch(x1, _float17(rng, x1 + 1e-6, x1 + 1e-4),
+                                 y1, _float17(rng, y1 + 1e-6, y1 + 1e-4), rng.choice((1.0, -1.0))))
+    return tuple(patches)
+
+
+def _random_config(rng):
+    """A valid configuration: every float a 17-digit draw, from half to twice its
+    default, or over the operational range for the bias."""
     default = parse_config("")
-    assert parse_config(_config_text(config_to_dict(default))) == default
-    # a group may hold any number of rectangles (nine here)
-    nine = "; ".join(f"{2 * i}, {2 * i + 1}, 8, 9, {(-1) ** i}" for i in range(-4, 5))
-    config = parse_config(f"squid_patches_um = {nine}\n")
-    assert len(config.geometry.squid_patches) == 9
-    assert parse_config(_config_text(config_to_dict(config))) == config
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+    sections = {}
+    for name in ("design", "pea", "geometry"):
+        section = getattr(default, name)
+        sections[name] = {spec.name: _float17(rng, 0.5 * value, 2.0 * value)
+                          for spec in dataclasses.fields(section)
+                          if isinstance(value := getattr(section, spec.name), float)}
+    n_qubits = rng.choice((1, 2, 3))
+    grid_size = rng.choice((None, 2 ** rng.randint(1, 12) * rng.choice((1, 3))))
+    size = GRID_SIZES[n_qubits] if grid_size is None else grid_size
+    max_steps = (size & -size).bit_length() - 1  # largest k with 2^k | size
+    sections["pea"].update(
+        n_qubits=n_qubits, grid_size=grid_size, n_steps=rng.randint(1, max_steps),
+        n_flux_targets=rng.choice([d for d in range(1, TARGET_GRID_SIZE + 1)
+                                   if TARGET_GRID_SIZE % d == 0]),
+        n_repetitions=rng.randint(2, 100), master_seed=rng.randrange(2 ** 64),
+        decoherence_enabled=rng.choice((True, False)), measurement_cap=rng.randint(1, 10 ** 6))
+    sections["geometry"].update(squid_patches=_patches(rng), gap_patches=_patches(rng))
+    return ToolConfig(SensorDesign(**sections["design"]), PeaConfig(**sections["pea"]),
+                      BiasLineGeometry(**sections["geometry"]),
+                      _float17(rng, 0.0, OPERATIONAL_PHI_MAX))
+
+
+_RANDOM_CONFIGS = [_random_config(random.Random(seed)) for seed in range(60)]
+# a group may hold any number of rectangles (nine here)
+_NINE = "; ".join(f"{2 * i}, {2 * i + 1}, 8, 9, {(-1) ** i}" for i in range(-4, 5))
+
+
+@pytest.mark.parametrize("config", [
+    parse_config(""),
+    parse_config("f_q_max_ghz = 7\n"
+                 "n_qubits = 3\n"
+                 "bias_phi = 0.41\n"
+                 "squid_patches_um = -10, 10, 5, 15\n"),
+    parse_config(f"squid_patches_um = {_NINE}\n"),
+    parse_config("temperature = 0\n"),
+    parse_config("decoherence_enabled = false\n"),
+    parse_config("decoherence_enabled = true\n"),
+    parse_config("grid_size = 64\nn_steps = 6\n"),
+    *_RANDOM_CONFIGS,
+])
+def test_config_text_round_trip(config):
+    text = config_to_text(config)
+    assert parse_config(text) == config
+    assert config_to_text(parse_config(text)) == text
+    # an unset grid size is left out, so it keeps its default
+    assert ("grid_size = " in text) == (config.pea.grid_size is not None)
+
+
+def test_random_configs_vary():
+    assert len(parse_config(f"squid_patches_um = {_NINE}\n").geometry.squid_patches) == 9
+    assert len(set(_RANDOM_CONFIGS)) == len(_RANDOM_CONFIGS)
+    assert {c.pea.grid_size is None for c in _RANDOM_CONFIGS} == {True, False}
+    assert {c.pea.decoherence_enabled for c in _RANDOM_CONFIGS} == {True, False}
 
 
 def test_load_config(tmp_path):
@@ -302,47 +308,25 @@ def test_load_config(tmp_path):
 
 
 def test_manifest_round_trip():
+    config = parse_config("n_qubits = 2\nmaster_seed = 42\n")
     manifest = RunManifest(
         subcommand="rates",
         argv=("rates", "--phi", "0.1,0.3", "--manifest"),
         tool_version="0.1.0",
-        config=parse_config("n_qubits = 2\nmaster_seed = 42\n"),
+        config=config_to_text(config),
         output_files=("a.csv", "b.json"),
         wall_seconds=1.25,
     )
-    restored = manifest_from_json(manifest_to_json(manifest))
+    text = manifest_to_json(manifest)
+    payload = json.loads(text)
+    restored = RunManifest(**{**payload, "argv": tuple(payload["argv"]),
+                              "output_files": tuple(payload["output_files"])})
     assert restored == manifest
-    assert restored.config.pea.master_seed == 42
-    assert manifest_to_json(manifest) == _manifest_oracle(
+    assert parse_config(payload["config"]) == config
+    assert parse_config(payload["config"]).pea.master_seed == 42
+    assert text == _manifest_oracle(
         "rates", ["rates", "--phi", "0.1,0.3", "--manifest"], "0.1.0",
         parse_config("n_qubits = 2\nmaster_seed = 42\n"), ["a.csv", "b.json"], 1.25)
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda payload: payload.update(bogus=1), "manifest: unknown field 'bogus'"),
-    (lambda payload: payload.pop("output_files"), "manifest: missing field 'output_files'"),
-    (lambda payload: payload["config"]["pea"].update(bogus=1), "pea: unknown field 'bogus'"),
-    (lambda payload: payload["config"]["pea"].update(sigma0="abc"),
-     "pea.sigma0: expected a number, got 'abc'"),
-    (lambda payload: payload["config"]["geometry"].update(x_a=None),
-     "geometry.x_a: expected a number, got None"),
-    (lambda payload: payload.update(wall_seconds="1.0"),
-     "manifest.wall_seconds: expected a number, got '1.0'"),
-    (lambda payload: payload.update(output_files="a.csv"),
-     "manifest.output_files: expected a list of strings, got 'a.csv'"),
-    (lambda payload: payload.update(subcommand=None), "manifest.subcommand: expected a string"),
-    (lambda payload: payload.pop("argv"), "manifest: missing field 'argv'"),
-    (lambda payload: payload.update(argv="rates"),
-     "manifest.argv: expected a list of strings, got 'rates'"),
-    (lambda payload: payload.update(argv=["rates", 3]),
-     "manifest.argv: expected a list of strings, got ['rates', 3]"),
-])
-def test_manifest_from_json_names_bad_keys(edit, message):
-    payload = json.loads(manifest_to_json(RunManifest("rates", ("rates",), "0.1.0",
-                                                      parse_config(""), ("a.csv",), 1.0)))
-    edit(payload)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        manifest_from_json(json.dumps(payload))
 
 
 def _manifest_oracle(subcommand, argv, tool_version, config, output_files, wall_seconds):
@@ -351,7 +335,7 @@ def _manifest_oracle(subcommand, argv, tool_version, config, output_files, wall_
         "subcommand": subcommand,
         "argv": list(argv),
         "tool_version": tool_version,
-        "config": config_to_dict(config),
+        "config": config_to_text(config),
         "output_files": list(output_files),
         "wall_seconds": wall_seconds,
     }
@@ -372,16 +356,16 @@ def test_cli_rates_manifest(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == str(tmp_path / "rates_manifest.json")
     text = (tmp_path / "rates_manifest.json").read_text()
-    manifest = manifest_from_json(text)
-    assert manifest.subcommand == "rates"
-    assert manifest.argv == tuple(argv)
-    assert manifest.config.pea.master_seed == 20240917
-    assert manifest.config == parse_config("")
-    assert manifest.output_files == (str(tmp_path / "rates.csv"),)
-    assert manifest.wall_seconds >= 0.0
+    manifest = json.loads(text)
+    assert manifest["subcommand"] == "rates"
+    assert manifest["argv"] == argv
+    assert parse_config(manifest["config"]).pea.master_seed == 20240917
+    assert parse_config(manifest["config"]) == parse_config("")
+    assert manifest["output_files"] == [str(tmp_path / "rates.csv")]
+    assert manifest["wall_seconds"] >= 0.0
     assert text == _manifest_oracle("rates", argv, cli.__version__, parse_config(""),
                                     [str(tmp_path / "rates.csv")],
-                                    manifest.wall_seconds) + "\n"
+                                    manifest["wall_seconds"]) + "\n"
 
 
 def test_cli_config_error(tmp_path, capsys):
@@ -557,10 +541,11 @@ def test_cli_calibration_manifest_replays_its_flags(tmp_path, capsys, monkeypatc
              "--theta", "0.5", "--manifest"]
     monkeypatch.setattr(sys, "argv", ["fluxsense", *flags, "--outdir", str(tmp_path / "a")])
     assert main() == EXIT_OK
-    manifest = manifest_from_json((tmp_path / "a" / "calibration_manifest.json").read_text())
-    assert manifest.argv == (*flags, "--outdir", str(tmp_path / "a"))
-    assert manifest.config == parse_config("")  # no flag reaches the configuration
-    assert main([*manifest.argv[:-1], str(tmp_path / "b")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "a" / "calibration_manifest.json").read_text())
+    assert manifest["argv"] == [*flags, "--outdir", str(tmp_path / "a")]
+    # no flag reaches the configuration
+    assert parse_config(manifest["config"]) == parse_config("")
+    assert main([*manifest["argv"][:-1], str(tmp_path / "b")]) == EXIT_OK
     assert main(["calibration", "--outdir", str(tmp_path / "default")]) == EXIT_OK
     capsys.readouterr()
     pattern = (tmp_path / "a" / "calibration_pattern.csv").read_bytes()
@@ -682,11 +667,13 @@ def test_cli_pea_reproducible(tmp_path, capsys):
     assert len(out) == 6  # steps, runs, manifest per invocation
     for name in ("pea_steps.csv", "pea_runs.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-    manifest = manifest_from_json((dir_a / "pea_manifest.json").read_text())
-    assert manifest.subcommand == "pea"
-    assert manifest.config.pea.master_seed == 20240917
-    assert manifest.config.pea.grid_size == 64
-    assert manifest.config.pea.decoherence_enabled is False
+    manifest = json.loads((dir_a / "pea_manifest.json").read_text())
+    assert manifest["subcommand"] == "pea"
+    config = parse_config(manifest["config"])
+    assert config == parse_config(TINY_PEA_CFG)
+    assert config.pea.master_seed == 20240917
+    assert config.pea.grid_size == 64
+    assert config.pea.decoherence_enabled is False
     steps = (dir_a / "pea_steps.csv").read_text().splitlines()
     assert len(steps) == 1 + 6
 
@@ -698,8 +685,32 @@ def test_cli_pea_seed_override(tmp_path, capsys):
                "--outdir", str(tmp_path)])
     assert rc == EXIT_OK
     capsys.readouterr()
-    manifest = manifest_from_json((tmp_path / "pea_manifest.json").read_text())
-    assert manifest.config.pea.master_seed == 99
+    manifest = json.loads((tmp_path / "pea_manifest.json").read_text())
+    config = parse_config(manifest["config"])
+    assert config.pea.master_seed == 99
+    assert config == parse_config(TINY_PEA_CFG + "master_seed = 99\n")
+
+
+@pytest.mark.parametrize("cfg,flags,outputs", [
+    (TINY_PEA_CFG, ["pea", "--seed", "99", "--no-decoherence"], ["pea_steps.csv", "pea_runs.csv"]),
+    ("z0 = 30\n", ["rates", "--phi", "0.1,0.3", "--manifest"], ["rates.csv"]),
+])
+def test_cli_run_repeats_from_its_manifest_alone(tmp_path, capsys, monkeypatch, cfg, flags,
+                                                 outputs):
+    # the first run's config file is gone; the manifest's argv and config
+    # text repeat the run, since argparse keeps the last --config and --outdir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "first.cfg").write_text(cfg, encoding="utf-8")
+    command, *options = flags
+    assert main([command, "--config", "first.cfg", *options, "--outdir", "a"]) == EXIT_OK
+    (tmp_path / "first.cfg").unlink()
+    manifest = json.loads((tmp_path / "a" / f"{command}_manifest.json").read_text())
+    (tmp_path / "replay.cfg").write_text(manifest["config"], encoding="utf-8")
+    assert parse_config(manifest["config"]) != parse_config("")  # the file mattered
+    assert main([*manifest["argv"], "--config", "replay.cfg", "--outdir", "b"]) == EXIT_OK
+    capsys.readouterr()
+    for name in outputs:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def test_cli_outdir_environment(tmp_path, capsys, monkeypatch):
