@@ -129,6 +129,8 @@ def test_config_errors(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+# The four tests below keep the names they had when a JSON reader fed these checks, so their
+# ids stay stable; they now build the types directly, as library callers do.
 def _replaced(section, field, value):
     """The default configuration's section (or the ToolConfig itself) with one field set."""
     config = parse_config("")
@@ -140,7 +142,7 @@ def _replaced(section, field, value):
     ("geometry", "x_a", -1.0),
     (None, "bias_phi", 0.7),
 ])
-def test_dataclasses_validate(section, field, value):
+def test_config_from_dict_validates(section, field, value):
     with pytest.raises(ValueError):
         _replaced(section, field, value)
 
@@ -159,7 +161,7 @@ def _float_leaves():
 
 # Each of these has a lower bound and is closed at infinity: NaN, +inf and -inf all fail.
 @pytest.mark.parametrize("section,field", [*_float_leaves(), ("pea", "measurement_cap")])
-def test_dataclasses_reject_nan(section, field):
+def test_config_from_dict_rejects_nan(section, field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=field if section else "flux bias"):
             _replaced(section, field, value)
@@ -174,13 +176,13 @@ def _pea_int_leaves():
 
 
 @pytest.mark.parametrize("field", [*_pea_int_leaves(), "grid_size"])
-def test_pea_config_rejects_non_integers(field):
+def test_config_from_dict_rejects_non_integers(field):
     for value in (math.inf, 2.5, True):
         with pytest.raises(ValueError, match=field):
             _replaced("pea", field, value)
 
 
-def test_pea_config_rejects_non_bools():
+def test_config_from_dict_rejects_non_bools():
     for value in ("false", 2.5, 0, None):
         with pytest.raises(ValueError, match="decoherence_enabled"):
             _replaced("pea", "decoherence_enabled", value)
