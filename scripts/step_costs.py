@@ -1,11 +1,13 @@
-"""Where PEA campaigns spend their time, by grid size.
+"""Where PEA campaigns spend their time, by step.
 
 Runs campaigns serially in this process, with one BLAS thread unless
 the environment sets another count (``OPENBLAS_NUM_THREADS=2`` for the
 command line's default on two cores), and times every ``run_step``.
 Each campaign's header line gives the BLAS thread count.  For each
-campaign and grid size m it prints the share of the campaigns' wall time
-spent in steps over m candidates, their measurements, and the
+campaign and step it prints the number of cells the step runs on (the
+first steps of a run on a wide grid run on cells of several grid
+points, so several steps can share a cell count), the share of the
+campaigns' wall time spent in the step, its measurements, and the
 microseconds per measurement.  By default it runs the campaigns of the
 two PEA benchmark workloads (perfbench/workloads.py); ``--desk`` adds
 the desk campaigns of the command line (32 targets x 8 repetitions).
@@ -48,22 +50,27 @@ DESK = {
 }
 
 
-def step_costs(settings: dict, repeats: int) -> tuple[float, dict[int, list[float]]]:
-    """Campaign seconds, and per grid size its step seconds and measurements.
+def step_costs(settings: dict, repeats: int) -> tuple[float, dict[int, list]]:
+    """Campaign seconds, and per step its seconds, measurements and cell count.
 
     The campaigns use the default configuration's sensor and bias, as the
     benchmark's do."""
     default = parse_config("")
     design, bias = default.design, FluxBias(default.bias_phi)
-    by_size: dict[int, list[float]] = defaultdict(lambda: [0.0, 0])
+    by_step: dict[int, list] = defaultdict(lambda: [0.0, 0, 0])
     step = pea.run_step
+    calls = 0
 
     def timed_step(candidates, *args, **kwargs):
+        nonlocal calls
         start = time.perf_counter()
         record = step(candidates, *args, **kwargs)
-        cost = by_size[len(candidates)]
+        # a run calls run_step once per step, in order, and runs are serial
+        cost = by_step[calls % config.n_steps + 1]
+        calls += 1
         cost[0] += time.perf_counter() - start
         cost[1] += record.n_measurements
+        cost[2] = len(candidates)
         return record
 
     wall = 0.0
@@ -76,7 +83,7 @@ def step_costs(settings: dict, repeats: int) -> tuple[float, dict[int, list[floa
             wall += time.perf_counter() - start
     finally:
         pea.run_step = step
-    return wall, dict(by_size)
+    return wall, dict(by_step)
 
 
 def main() -> None:
@@ -91,13 +98,14 @@ def main() -> None:
         pea._screen_blocks = lambda m: 0
     campaigns = {**BENCHMARK, **(DESK if args.desk else {})}
     for name, settings in campaigns.items():
-        wall, by_size = step_costs(settings, args.repeats)
+        wall, by_step = step_costs(settings, args.repeats)
         print(f"{name}: {wall:.3f} s in {args.repeats} campaigns, "
               f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}")
-        print(f"{'m':>6} {'share':>7} {'measurements':>13} {'us/meas':>8}")
-        for m in sorted(by_size, reverse=True):
-            seconds, count = by_size[m]
-            print(f"{m:>6} {seconds / wall:>7.1%} {count:>13} {1e6 * seconds / count:>8.3f}")
+        print(f"{'step':>4} {'cells':>6} {'share':>7} {'measurements':>13} {'us/meas':>8}")
+        for i in sorted(by_step):
+            seconds, count, cells = by_step[i]
+            print(f"{i:>4} {cells:>6} {seconds / wall:>7.1%} {count:>13} "
+                  f"{1e6 * seconds / count:>8.3f}")
 
 
 if __name__ == "__main__":

@@ -90,6 +90,9 @@ class BiasLineGeometry:
             raise ValueError(f"x_a must be positive and finite, got {self.x_a}")
         if not self.squid_patches:
             raise ValueError("at least one SQUID patch is required")
+        # config_to_text has no spelling for an empty group
+        if not self.gap_patches:
+            raise ValueError("at least one gap patch is required")
 
 
 class FieldComponents(NamedTuple):

@@ -12,18 +12,32 @@ interval doubles the delay of the next step, so the error shrinks
 inversely with the total phase-accumulation time (Heisenberg-like
 scaling) until decoherence caps the useful delay.
 
+Early steps need no fine grid, so a step whose interval holds more than
+_MAX_CELLS grid points runs on cells of 2^j adjacent grid points
+(_cell_widths), a candidate set that refines as it halves.  A cell's
+flux is its first grid point and its spacing its width, so the
+interval, and with it the delay and phase, is that of the grid points
+it covers; the fringe is evaluated at the cell's centre.  The kept
+window is half the cells.  Before the next step each kept cell splits
+into its two halves, each with half its weight, so j drops by one a
+step and the last steps run on single grid points.  The standard
+sensors run steps 1-8 (N = 1) and 1-7 (N = 2) on 48 cells and steps 1-6
+(N = 3) on 64.
+
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
 A screen of one matrix product picks the rows of a block that may
-decide.  On narrow grids its columns are the windows of half the
-candidates; on wide grids (256 candidates and more, in 64 equal blocks)
+decide.  On narrow sets its columns are the windows of half the
+candidates; on wide ones (256 candidates and more, in 64 equal blocks,
+which only a grid that cannot coarsen to _MAX_CELLS cells steps on)
 they are the runs of 33 of the 64 blocks, and any window lies inside
 one.  No weight is negative, so a row none of whose columns holds
 1 - epsilon of its mass cannot decide.  The exact window test runs only
 on the rows that pass, and its result on the deciding row gives the kept
 window, so the deciding readout and the kept window are the same as
-without the screen.  The grid carries the detuning of every candidate,
-computed once, and each step's candidates carry their slice of it.
+without the screen.  The candidates carry their detunings, computed
+once for each set of cells, and the survivors of a step their slice of
+them.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -129,13 +143,16 @@ class PeaConfig:
 
 @dataclass(eq=False)
 class CandidateSet:
-    """Contiguous block of equally spaced flux candidates with weights.
+    """Contiguous block of equally spaced flux candidates with weights:
+    grid points, or cells of adjacent grid points (see run_single).
 
-    Fluxes are external offsets from the bias point in Phi_0 units.
+    Fluxes are external offsets from the bias point in Phi_0 units, a
+    cell's its first grid point, and ``spacing`` is a candidate's width.
     The spacing never changes as the set is halved, so the candidate
     interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings`` holds
-    FringeEvaluator.detuning of each flux, rad/s: build_flux_grid
-    computes them once, and run_step slices them with the fluxes.
+    FringeEvaluator.detuning of each candidate's centre (a grid point's
+    flux), rad/s: computed once when the set is made, and sliced by
+    run_step with the fluxes.
     """
 
     fluxes: np.ndarray
@@ -170,6 +187,37 @@ class CandidateSet:
         return float(np.dot(self.weights, self.fluxes))
 
 
+def _grid_spacing(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> float:
+    return dynamic_range(design, bias, config.tau_min) / (config.resolved_grid_size
+                                                          * config.n_qubits)
+
+
+def _centres(fluxes: np.ndarray, width: float, spacing: float) -> np.ndarray:
+    """Centres of cells of ``width`` (in flux) that start at ``fluxes``: the
+    mean of their grid points, on a grid of ``spacing``."""
+    return fluxes + 0.5 * (width - spacing)
+
+
+def _cells(spacing: float, start: int, width: int, weights: np.ndarray,
+           detuning) -> CandidateSet:
+    """Adjacent cells of ``width`` grid points, one per weight, from grid index ``start`` on.
+
+    A cell's flux is its first grid point, spacing * index, its spacing
+    is its width and its detuning (``detuning`` is
+    FringeEvaluator.detuning) is that of its centre.
+    """
+    fluxes = spacing * (start + width * np.arange(len(weights)))
+    return CandidateSet(fluxes, weights, width * spacing,
+                        detuning(_centres(fluxes, width * spacing, spacing)))
+
+
+def _refine(cells: CandidateSet, spacing: float, detuning) -> CandidateSet:
+    """Each of the adjacent ``cells`` split into its two halves, each with
+    half its weight, on a grid of ``spacing``."""
+    return _cells(spacing, round(cells.fluxes[0] / spacing), round(cells.spacing / spacing) // 2,
+                  np.repeat(0.5 * cells.weights, 2), detuning)
+
+
 def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> CandidateSet:
     """Uniform candidate grid over the sensor's unambiguous flux range.
 
@@ -179,9 +227,8 @@ def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> 
     detuning, which does not depend on N.
     """
     size = config.resolved_grid_size
-    spacing = dynamic_range(design, bias, config.tau_min) / (size * config.n_qubits)
-    fluxes = spacing * np.arange(size)
-    return CandidateSet.uniform(fluxes, spacing, FringeEvaluator(design, bias).detuning(fluxes))
+    return _cells(_grid_spacing(design, bias, config), 0, 1, np.full(size, 1.0 / size),
+                  FringeEvaluator(design, bias).detuning)
 
 
 def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator) -> tuple[float, float]:
@@ -370,10 +417,31 @@ def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
     return rows, (m, m // 2 + 1, m // 2 + 1)
 
 
+# A run's steps hold at most this many cells while the grid allows it
+# (see _cell_widths).
+_MAX_CELLS = 64
+
+
+def _cell_widths(config: PeaConfig) -> list[int]:
+    """Grid points per cell at each step of a run.
+
+    The first step's cells are 2^j0 points wide, j0 the smallest j at
+    which the grid splits into at most _MAX_CELLS cells, capped at
+    n_steps - 1 (2^n_steps divides the grid, so 2^j0 does too).  The
+    width halves each step down to one grid point, so the step over
+    size >> i grid points holds (size >> i) // width cells: size >> j0
+    until the width reaches one, then size >> i.
+    """
+    size = config.resolved_grid_size
+    j0 = next((j for j in range(config.n_steps) if size >> j <= _MAX_CELLS), config.n_steps - 1)
+    return [1 << max(j0 - i, 0) for i in range(config.n_steps)]
+
+
 def _workspace_cells(config: PeaConfig) -> int:
     """Size of a workspace that holds the block buffers of every step of a run."""
-    m, cap = config.resolved_grid_size, config.measurement_cap
-    layouts = [_block_layout(m >> i, cap) for i in range(config.n_steps)]
+    size, cap = config.resolved_grid_size, config.measurement_cap
+    layouts = [_block_layout((size >> i) // width, cap)
+               for i, width in enumerate(_cell_widths(config))]
     return max(rows * sum(columns) for rows, columns in layouts)
 
 
@@ -548,20 +616,33 @@ def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
                rng: np.random.Generator, record_steps: bool = False) -> RunResult:
     """One full estimation of one target flux.
 
+    Steps run on cells of the grid of build_flux_grid, as wide as
+    _cell_widths says, and before the next step each kept cell of more
+    than one grid point splits into its two halves (_refine).  A step's
+    estimate is the posterior mean over the kept cells' centres, and the
+    truth is retained when it lies within half a cell of a kept cell's
+    centre, that is, when its grid point lies in a kept cell.  On single
+    grid points both are the rules of the grid itself.
+
     Every step takes its block buffers from one workspace (see run_step)
     allocated here.
     """
-    candidates = build_flux_grid(evaluator.design, evaluator.bias_point, config)
+    widths = _cell_widths(config)
+    spacing = _grid_spacing(evaluator.design, evaluator.bias_point, config)
+    count = config.resolved_grid_size // widths[0]
+    candidates = _cells(spacing, 0, widths[0], np.full(count, 1.0 / count), evaluator.detuning)
     workspace = np.empty(_workspace_cells(config))
     trace, records, elapsed = np.empty(config.n_steps, TRACE), [], 0.0
-    for i in range(config.n_steps):
+    for i, width in enumerate(widths):
         rec = run_step(candidates, true_flux, evaluator, config, rng,
                        record_readouts=record_steps, workspace=workspace)
-        candidates = rec.survivors
+        kept = rec.survivors
+        centres = _centres(kept.fluxes, kept.spacing, spacing)
         elapsed += rec.tau * rec.n_measurements
-        trace[i] = (rec.tau, rec.n_measurements, candidates.posterior_mean(), elapsed, rec.cap_hit,
-                    np.abs(candidates.fluxes - true_flux).min() <= 0.5 * candidates.spacing)
+        trace[i] = (rec.tau, rec.n_measurements, float(np.dot(kept.weights, centres)), elapsed,
+                    rec.cap_hit, np.abs(centres - true_flux).min() <= 0.5 * kept.spacing)
         records.append(rec)
+        candidates = _refine(kept, spacing, evaluator.detuning) if width > 1 else kept
     return RunResult(trace, true_flux, tuple(records) if record_steps else None)
 
 

@@ -296,6 +296,17 @@ def test_config_text_round_trip(config):
     assert ("grid_size = " in text) == (config.pea.grid_size is not None)
 
 
+@pytest.mark.parametrize("group", ["squid_patches", "gap_patches"])
+def test_config_text_round_trip_has_no_empty_group(group):
+    # the text format cannot spell an empty rectangle group, so no valid
+    # configuration holds one: the geometry rejects it where it is made
+    geometry = parse_config("").geometry
+    with pytest.raises(ValueError, match="at least one"):
+        dataclasses.replace(geometry, **{group: ()})
+    with pytest.raises(ConfigError, match="line 1"):
+        parse_config(f"{group} = \n")
+
+
 def test_random_configs_vary():
     assert len(parse_config(f"squid_patches_um = {_NINE}\n").geometry.squid_patches) == 9
     assert len(set(_RANDOM_CONFIGS)) == len(_RANDOM_CONFIGS)

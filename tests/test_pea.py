@@ -312,9 +312,14 @@ def _window_test(weights, half, epsilon):
     return bool(outside[start] <= epsilon * below[-1]), start
 
 
-def _replay_step(candidates, rec, evaluator, config):
-    """Survivors of one recorded step, one readout at a time through posterior_update."""
-    probs = evaluator.probability_excited(candidates.fluxes, rec.tau, rec.theta)
+def _replay_step(candidates, rec, evaluator, config, spacing):
+    """Survivors of one recorded step, one readout at a time through posterior_update.
+
+    The fringe is evaluated at the candidates' centres: the mean of each
+    cell's points on the grid of ``spacing``, a grid point's own flux.
+    """
+    centres = candidates.fluxes + 0.5 * (candidates.spacing - spacing)
+    probs = evaluator.probability_excited(centres, rec.tau, rec.theta)
     half = len(candidates) // 2
     weights = candidates.weights
     for count, x in enumerate(rec.readouts, start=1):
@@ -331,11 +336,30 @@ def _replay_step(candidates, rec, evaluator, config):
                         candidates.spacing, candidates.detunings[start:start + half])
 
 
+def _assert_same_survivors(survivors, rec):
+    assert np.array_equal(survivors.fluxes, rec.survivors.fluxes), "another window kept"
+    heavy = survivors.weights > 1e-200
+    assert rec.survivors.weights[heavy] == pytest.approx(
+        survivors.weights[heavy], rel=1e-9, abs=0)
+
+
 def _level_span_nats(readouts, config):
     x = np.asarray(readouts)
     ll1 = -0.5 * ((x - 1.0) / config.sigma1) ** 2 - np.log(config.sigma1)
     ll0 = -0.5 * (x / config.sigma0) ** 2 - np.log(config.sigma0)
     return float(np.abs(ll1 - ll0).sum())
+
+
+_ORACLE_STEPS = {None: 9, 16: 4, 64: 6, 3000: 3, 1152: 7}
+
+
+def _oracle_case(n_qubits, decohere, sigma, grid_size, cap, seed):
+    """Config, evaluator, grid and true flux of one sequential-oracle case."""
+    config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, grid_size=grid_size,
+                       n_steps=_ORACLE_STEPS[grid_size], measurement_cap=cap,
+                       decoherence_enabled=decohere)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    return config, _evaluator(n_qubits, decohere), grid, float(grid.fluxes[(37 * seed) % len(grid)])
 
 
 @pytest.mark.parametrize("n_qubits, decohere, sigma, grid_size, cap, seed", [
@@ -353,28 +377,86 @@ def _level_span_nats(readouts, config):
     (1, True, 1.0, 1152, 10_000, 12),  # 64 blocks of 18 candidates, last windows over 18
 ])
 def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size, cap, seed):
-    n_steps = {None: 9, 16: 4, 64: 6, 3000: 3, 1152: 7}[grid_size]
-    config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, grid_size=grid_size,
-                       n_steps=n_steps, measurement_cap=cap, decoherence_enabled=decohere)
-    evaluator = _evaluator(n_qubits, decohere)
-    grid = build_flux_grid(DESIGN, BIAS, config)
-    true_flux = float(grid.fluxes[(37 * seed) % len(grid)])
-    result = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
-                        record_steps=True)
+    # Grids a run steps on point by point go through run_single.  A run
+    # steps on the wide grids in cells, so run_step halves them here, grid
+    # point by grid point: the block screen and the row product of the
+    # wide steps stay under the oracle.
+    config, evaluator, grid, true_flux = _oracle_case(n_qubits, decohere, sigma, grid_size,
+                                                      cap, seed)
+    rng = np.random.default_rng(seed)
+    if pea._cell_widths(config)[0] == 1:
+        steps = run_single(true_flux, evaluator, config, rng, record_steps=True).steps
+    else:
+        steps, candidates = [], grid
+        for _ in range(config.n_steps):
+            steps.append(run_step(candidates, true_flux, evaluator, config, rng,
+                                  record_readouts=True))
+            candidates = steps[-1].survivors
     candidates = grid
-    for rec in result.steps:
-        survivors = _replay_step(candidates, rec, evaluator, config)
-        assert np.array_equal(survivors.fluxes, rec.survivors.fluxes), "another window kept"
-        heavy = survivors.weights > 1e-200
-        assert rec.survivors.weights[heavy] == pytest.approx(
-            survivors.weights[heavy], rel=1e-9, abs=0)
+    for rec in steps:
+        survivors = _replay_step(candidates, rec, evaluator, config, grid.spacing)
+        _assert_same_survivors(survivors, rec)
         candidates = survivors
     if cap < 10_000:
-        assert result.cap_hits.any()
+        assert any(rec.cap_hit for rec in steps)
     if decohere and sigma == 1.0 and grid_size is None:
         # a capped step spans far more than one block may: the decay cut ran
-        spans = [_level_span_nats(rec.readouts, config) for rec in result.steps]
+        spans = [_level_span_nats(rec.readouts, config) for rec in steps]
         assert max(spans) > 10 * 600
+
+
+def _fed_candidates(monkeypatch):
+    """The candidate sets run_step is called with from now on, in call order."""
+    fed, step = [], pea.run_step
+
+    def recording_step(candidates, *args, **kwargs):
+        fed.append(candidates)
+        return step(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(pea, "run_step", recording_step)
+    return fed
+
+
+@pytest.mark.parametrize("n_qubits, decohere, sigma, grid_size, cap, seed", [
+    (1, False, 1.0, None, 10_000, 13),
+    (2, True, 1.0, None, 10_000, 14),
+    (3, True, 0.05, None, 10_000, 15),
+    (1, False, 1.0, None, 40, 16),      # capped steps on cells
+    (3, True, 0.5, None, 300, 17),
+    (1, False, 1.0, 3000, 10_000, 18),  # 750 cells of 4 points: j0 capped at n_steps - 1
+    (1, True, 1.0, 1152, 10_000, 19),   # 36 cells of 32 points
+])
+def test_coarse_run_matches_sequential_oracle(monkeypatch, n_qubits, decohere, sigma,
+                                              grid_size, cap, seed):
+    # A run on cells, replayed step by step from the candidates it fed
+    # run_step; the candidates of each next step are the step's survivors
+    # split by the run's own refine helper.
+    config, evaluator, grid, true_flux = _oracle_case(n_qubits, decohere, sigma, grid_size,
+                                                      cap, seed)
+    widths = pea._cell_widths(config)
+    assert widths[0] > 1
+    fed = _fed_candidates(monkeypatch)
+    result = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
+                        record_steps=True)
+    assert len(fed) == config.n_steps
+    first = fed[0]
+    assert np.array_equal(first.fluxes, grid.fluxes[::widths[0]])
+    assert first.spacing == widths[0] * grid.spacing
+    assert np.all(first.weights == 1.0 / len(first))
+    for i, (candidates, rec) in enumerate(zip(fed, result.steps)):
+        survivors = _replay_step(candidates, rec, evaluator, config, grid.spacing)
+        _assert_same_survivors(survivors, rec)
+        if i + 1 < len(fed):
+            kept = rec.survivors
+            expected = (pea._refine(kept, grid.spacing, evaluator.detuning)
+                        if widths[i] > 1 else kept)
+            following = fed[i + 1]
+            assert following.spacing == expected.spacing == widths[i + 1] * grid.spacing
+            for field in ("fluxes", "weights", "detunings"):
+                assert np.array_equal(getattr(following, field), getattr(expected, field)), field
+    assert fed[-1].spacing == grid.spacing
+    if cap < 10_000:
+        assert result.cap_hits.any()
 
 
 def test_run_step_degenerate_readout(monkeypatch):
@@ -567,19 +649,71 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
 
 @pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
 def test_survivors_carry_their_slice_of_the_grid_detunings(n_qubits, decohere):
-    # build_flux_grid computes the detuning of every grid flux once; the
-    # fringe at each survivor set's slice of them is the fringe at its
-    # fluxes, bit for bit, at the delay and phase of every step
+    # each set of cells carries the detunings of its cells' centres,
+    # computed once; the fringe at each survivor set's slice of them is
+    # the fringe at its centres, bit for bit, at the delay and phase of
+    # every step
     config = PeaConfig(n_qubits=n_qubits, decoherence_enabled=decohere)
     evaluator = _evaluator(n_qubits, decohere)
     grid = build_flux_grid(DESIGN, BIAS, config)
     result = run_single(float(grid.fluxes[1234 % len(grid)]), evaluator, config,
                         np.random.default_rng(n_qubits), record_steps=True)
+    assert result.steps[0].survivors.spacing > grid.spacing, "no step on cells"
     for survivors in (rec.survivors for rec in result.steps):
+        centres = survivors.fluxes + 0.5 * (survivors.spacing - grid.spacing)
         for step in result.steps:
             fringe = step.tau, step.theta
             assert np.array_equal(evaluator.probability_at(survivors.detunings, *fringe),
-                                  evaluator.probability_excited(survivors.fluxes, *fringe))
+                                  evaluator.probability_excited(centres, *fringe))
+
+
+@pytest.mark.parametrize("n_qubits, decohere, cells", [(1, False, 48), (2, True, 48),
+                                                       (3, True, 64)])
+def test_steps_run_on_cells_until_the_grid_is_that_fine(monkeypatch, n_qubits, decohere, cells):
+    config = PeaConfig(n_qubits=n_qubits, decoherence_enabled=decohere)
+    evaluator = _evaluator(n_qubits, decohere)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    size = len(grid)
+    fed = _fed_candidates(monkeypatch)
+    result = run_single(float(grid.fluxes[1717 % size]), evaluator, config,
+                        np.random.default_rng(n_qubits), record_steps=True)
+    for i, (candidates, rec) in enumerate(zip(fed, result.steps)):
+        points = size >> i  # grid points in the step's interval
+        width = round(candidates.spacing / grid.spacing)
+        # at most 64 cells where the grid allows, grid points after that
+        assert len(candidates) == min(cells, points) <= pea._MAX_CELLS
+        assert len(candidates) * width == points
+        assert candidates.spacing == width * grid.spacing
+        start = int(np.flatnonzero(grid.fluxes == candidates.fluxes[0])[0])
+        assert np.array_equal(candidates.fluxes, grid.fluxes[start:start + points:width])
+        if i:
+            kept = result.steps[i - 1].survivors
+            split = kept.spacing > grid.spacing
+            assert np.array_equal(candidates.weights,
+                                  np.repeat(0.5 * kept.weights, 2) if split else kept.weights)
+        # the delay and phase of the grid points over the same interval
+        fine = CandidateSet.uniform(grid.fluxes[start:start + points], grid.spacing,
+                                    grid.detunings[start:start + points])
+        assert (rec.tau, rec.theta) == choose_delay(fine, evaluator)
+    assert fed[-1].spacing == grid.spacing, "the last step is not on grid points"
+    assert pea._cell_widths(config)[0] == size // cells
+
+
+def test_cell_schedule():
+    # grids of at most 64 points run on grid points throughout (j0 = 0)
+    for grid_size, n_steps in [(16, 4), (64, 6)]:
+        config = PeaConfig(n_qubits=3, grid_size=grid_size, n_steps=n_steps)
+        assert pea._cell_widths(config) == [1] * n_steps
+    assert pea._cell_widths(PeaConfig(n_qubits=1, grid_size=128, n_steps=7)) == [2] + [1] * 6
+    # j0 is capped at n_steps - 1, so the last step runs on grid points
+    assert pea._cell_widths(PeaConfig(n_qubits=1, n_steps=3)) == [4, 2, 1]
+    assert pea._cell_widths(PeaConfig(n_qubits=3, n_steps=1)) == [1]
+    assert pea._cell_widths(PeaConfig(n_qubits=2)) == [64, 32, 16, 8, 4, 2, 1, 1, 1]
+    # the workspace holds the widest block layout of the cells the run steps on
+    config = PeaConfig(n_qubits=1)
+    assert pea._workspace_cells(config) == max(
+        rows * sum(columns)
+        for rows, columns in (pea._block_layout(m, config.measurement_cap) for m in (48, 24)))
 
 
 def test_run_step_two_candidates():
@@ -614,10 +748,18 @@ def test_run_single_traces():
         np.cumsum(result.delays * result.counts), rel=1e-12)
     assert len(result.steps) == 9
     for i, rec in enumerate(result.steps):
+        kept = rec.survivors
+        width = round(kept.spacing / grid.spacing)
         assert len(rec.readouts) == result.counts[i]
-        assert len(rec.survivors) == 6144 >> (i + 1)
-        assert result.estimates[i] == rec.survivors.posterior_mean()
-        assert result.retained[i] == (true_flux in rec.survivors.fluxes)
+        # the kept interval is 6144 >> (i + 1) grid points, in whole cells
+        assert len(kept) * width == 6144 >> (i + 1)
+        centres = kept.fluxes + 0.5 * (kept.spacing - grid.spacing)
+        assert result.estimates[i] == float(np.dot(kept.weights, centres))
+        if width == 1:
+            assert result.estimates[i] == kept.posterior_mean()
+        first = np.rint(kept.fluxes / grid.spacing).astype(int)  # grid index of each cell
+        assert result.retained[i] == np.any((first <= 901) & (901 < first + width))
+    assert round(result.steps[0].survivors.spacing / grid.spacing) == 128
     # the final interval is 12 grid spacings wide and contains the target
     assert abs(result.estimates[-1] - true_flux) < 12 * grid.spacing
 
