@@ -2,17 +2,19 @@
 
 Runs campaigns serially in this process, with one BLAS thread unless
 the environment sets another count (``OPENBLAS_NUM_THREADS=2`` for the
-command line's default on two cores), and times every ``run_step``.
-Each campaign's header line gives the BLAS thread count.  For each
-campaign and step it prints the number of cells the step runs on (the
-first steps of a run on a wide grid run on cells of several grid
-points, so several steps can share a cell count), the share of the
-campaigns' wall time spent in the step, its measurements, and the
-microseconds per measurement.  By default it runs the campaigns of the
-two PEA benchmark workloads (perfbench/workloads.py); ``--desk`` adds
-the desk campaigns of the command line (32 targets x 8 repetitions).
-``--exact`` turns the window screen off, so the exact window test runs
-on every block row.
+command line's default on two cores), and times every chunk step: a
+campaign steps its runs in chunks of 8, each chunk's runs together
+through ``pea._step_chunk``, one call per step.  Each campaign's header
+line gives the BLAS thread count.  For each campaign and step it prints
+the number of cells the step runs on (the first steps of a run on a
+wide grid run on cells of several grid points, so several steps can
+share a cell count), the seconds of the step's chunk calls and their
+share of the campaigns' wall time, the measurements of the step summed
+over every run, and the microseconds per measurement.  By default it
+runs the campaigns of the two PEA benchmark workloads
+(perfbench/workloads.py); ``--desk`` adds the desk campaigns of the
+command line (32 targets x 8 repetitions).  ``--exact`` turns the
+window screen off, so the exact window test runs on every block row.
 
     PYTHONPATH=src python3 scripts/step_costs.py --repeats 4
 
@@ -58,23 +60,23 @@ def step_costs(settings: dict, repeats: int) -> tuple[float, dict[int, list]]:
     default = parse_config("")
     design, bias = default.design, FluxBias(default.bias_phi)
     by_step: dict[int, list] = defaultdict(lambda: [0.0, 0, 0])
-    step = pea.run_step
+    step = pea._step_chunk
     calls = 0
 
     def timed_step(candidates, *args, **kwargs):
         nonlocal calls
         start = time.perf_counter()
         record = step(candidates, *args, **kwargs)
-        # a run calls run_step once per step, in order, and runs are serial
+        # a chunk calls the kernel once per step, in order, and chunks are serial
         cost = by_step[calls % config.n_steps + 1]
         calls += 1
         cost[0] += time.perf_counter() - start
-        cost[1] += record.n_measurements
+        cost[1] += int(record.n_measurements.sum())
         cost[2] = len(candidates)
         return record
 
     wall = 0.0
-    pea.run_step = timed_step
+    pea._step_chunk = timed_step
     try:
         for seed in range(1, repeats + 1):
             config = PeaConfig(master_seed=seed, **settings)
@@ -82,7 +84,7 @@ def step_costs(settings: dict, repeats: int) -> tuple[float, dict[int, list]]:
             pea.run_campaign(design, bias, config)
             wall += time.perf_counter() - start
     finally:
-        pea.run_step = step
+        pea._step_chunk = step
     return wall, dict(by_step)
 
 
@@ -101,10 +103,11 @@ def main() -> None:
         wall, by_step = step_costs(settings, args.repeats)
         print(f"{name}: {wall:.3f} s in {args.repeats} campaigns, "
               f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}")
-        print(f"{'step':>4} {'cells':>6} {'share':>7} {'measurements':>13} {'us/meas':>8}")
+        print(f"{'step':>4} {'cells':>6} {'seconds':>8} {'share':>7} {'measurements':>13} "
+              f"{'us/meas':>8}")
         for i in sorted(by_step):
             seconds, count, cells = by_step[i]
-            print(f"{i:>4} {cells:>6} {seconds / wall:>7.1%} {count:>13} "
+            print(f"{i:>4} {cells:>6} {seconds:>8.4f} {seconds / wall:>7.1%} {count:>13} "
                   f"{1e6 * seconds / count:>8.3f}")
 
 

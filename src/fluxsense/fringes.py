@@ -79,20 +79,25 @@ class FringeEvaluator:
         _require_operational(phi)
         return _omega_q(self.design, phi) - self.omega_d
 
-    def envelope(self, tau: float) -> float:
-        """Decay envelope exp(-N (A tau + B^2 tau^2)) at delay tau."""
-        return float(decoherence._envelope(*self.envelope_rates, tau, self.n_qubits))
+    def envelope(self, tau):
+        """Decay envelope exp(-N (A tau + B^2 tau^2)) at delay tau, a float
+        or an array of delays."""
+        env = decoherence._envelope(*self.envelope_rates, tau, self.n_qubits)
+        return float(env) if np.ndim(env) == 0 else env
 
-    def probability_at(self, delta, tau: float, theta: float = 0.0):
+    def probability_at(self, delta, tau, theta=0.0):
         """Excited-state probability after one fringe cycle at detuning ``delta``.
 
         ``delta`` is what ``detuning`` returns, rad/s, for one flux or
         an array of them; a caller that evaluates the same fluxes at many
         delays computes it once.  ``tau`` is the accumulation delay in
         seconds, ``theta`` an extra measurement phase inside the cosine.
+        Each may be an array that broadcasts with the others (a delay and
+        phase per row of detunings), and every element must be finite,
+        with no delay negative.
         """
-        if not (0 <= tau < math.inf and -math.inf < theta < math.inf):
-            raise ValueError(f"need a finite delay >= 0 and a finite phase, got {tau} and {theta}")
+        if not (np.all((0 <= tau) & (tau < math.inf)) and np.all(np.abs(theta) < math.inf)):
+            raise ValueError(f"need finite delays >= 0 and finite phases, got {tau} and {theta}")
         osc = np.cos(self.n_qubits * delta * tau + theta)
         return 0.5 + 0.5 * self.visibility * self.envelope(tau) * osc
 

@@ -48,6 +48,15 @@ Campaigns run many repetitions over many target fluxes.  Every
 (target, repetition) pair owns an RNG stream derived from the master
 seed and the pair indices, so results are reproducible bit-for-bit and
 independent of execution order or worker count.
+
+The runs of a campaign step in chunks of 8, in lockstep (_run_chunk,
+_step_chunk): every run of a chunk has the same number of candidates at
+every step, so one [runs, readouts, candidates] array holds a block of
+each run still measuring, and one set of numpy calls serves them all.
+Each run draws its own blocks from its own stream, and its arithmetic is
+that of the run alone, so its records do not depend on its companions
+(see _screened_decisions).  run_step and run_single are the chunk of one
+run.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ class PeaConfig:
 @dataclass(eq=False)
 class CandidateSet:
     """Contiguous block of equally spaced flux candidates with weights:
-    grid points, or cells of adjacent grid points (see run_single).
+    grid points, or cells of adjacent grid points (see _run_chunk).
 
     Fluxes are external offsets from the bias point in Phi_0 units, a
     cell's its first grid point, and ``spacing`` is a candidate's width.
@@ -152,7 +161,11 @@ class CandidateSet:
     interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings`` holds
     FringeEvaluator.detuning of each candidate's centre (a grid point's
     flux), rad/s: computed once when the set is made, and sliced by
-    run_step with the fluxes.
+    a step with the fluxes.
+
+    The runs of a chunk (see _step_chunk) hold one set each, as one
+    CandidateSet whose arrays have a row per run, of one length and one
+    spacing; ``run`` gives one run's set.
     """
 
     fluxes: np.ndarray
@@ -164,15 +177,16 @@ class CandidateSet:
         self.fluxes = np.asarray(self.fluxes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         self.detunings = np.asarray(self.detunings, dtype=float)
-        if self.fluxes.shape != self.weights.shape or self.fluxes.ndim != 1:
-            raise ValueError("fluxes and weights must be matching 1-D arrays")
+        if self.fluxes.shape != self.weights.shape or self.fluxes.ndim not in (1, 2):
+            raise ValueError("fluxes and weights must be matching 1-D arrays, or 2-D for a chunk")
         if self.detunings.shape != self.fluxes.shape:
             raise ValueError("detunings must match fluxes")
-        if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-9:
+        if np.any(self.weights < 0) or not np.all(abs(self.weights.sum(axis=-1) - 1.0) <= 1e-9):
             raise ValueError("weights must be a normalized distribution")
 
     def __len__(self) -> int:
-        return self.fluxes.size
+        """Candidates in the set, or in each run's set of a chunk."""
+        return self.fluxes.shape[-1]
 
     @classmethod
     def uniform(cls, fluxes: np.ndarray, spacing: float, detunings: np.ndarray) -> "CandidateSet":
@@ -180,11 +194,17 @@ class CandidateSet:
         return cls(fluxes, np.full(n, 1.0 / n), spacing, detunings)
 
     @property
-    def interval(self) -> tuple[float, float]:
-        return float(self.fluxes[0]), float(self.fluxes[-1] + self.spacing)
+    def interval(self):
+        """(lo, hi) of the set, floats; of each run's set of a chunk, arrays."""
+        lo, hi = self.fluxes[..., 0], self.fluxes[..., -1] + self.spacing
+        return (float(lo), float(hi)) if self.fluxes.ndim == 1 else (lo, hi)
 
     def posterior_mean(self) -> float:
         return float(np.dot(self.weights, self.fluxes))
+
+    def run(self, i: int) -> "CandidateSet":
+        """Run i's set of a chunk's."""
+        return CandidateSet(self.fluxes[i], self.weights[i], self.spacing, self.detunings[i])
 
 
 def _grid_spacing(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> float:
@@ -198,24 +218,26 @@ def _centres(fluxes: np.ndarray, width: float, spacing: float) -> np.ndarray:
     return fluxes + 0.5 * (width - spacing)
 
 
-def _cells(spacing: float, start: int, width: int, weights: np.ndarray,
-           detuning) -> CandidateSet:
+def _cells(spacing: float, start, width: int, weights: np.ndarray, detuning) -> CandidateSet:
     """Adjacent cells of ``width`` grid points, one per weight, from grid index ``start`` on.
 
     A cell's flux is its first grid point, spacing * index, its spacing
     is its width and its detuning (``detuning`` is
-    FringeEvaluator.detuning) is that of its centre.
+    FringeEvaluator.detuning) is that of its centre.  For a chunk,
+    ``weights`` has a row per run and ``start`` is a column of indices.
     """
-    fluxes = spacing * (start + width * np.arange(len(weights)))
+    fluxes = spacing * (start + width * np.arange(weights.shape[-1]))
     return CandidateSet(fluxes, weights, width * spacing,
                         detuning(_centres(fluxes, width * spacing, spacing)))
 
 
 def _refine(cells: CandidateSet, spacing: float, detuning) -> CandidateSet:
-    """Each of the adjacent ``cells`` split into its two halves, each with
-    half its weight, on a grid of ``spacing``."""
-    return _cells(spacing, round(cells.fluxes[0] / spacing), round(cells.spacing / spacing) // 2,
-                  np.repeat(0.5 * cells.weights, 2), detuning)
+    """Each of the adjacent ``cells`` (of one run, or of each run of a chunk)
+    split into its two halves, each with half its weight, on a grid of
+    ``spacing``."""
+    return _cells(spacing, np.rint(cells.fluxes[..., :1] / spacing),
+                  round(cells.spacing / spacing) // 2,
+                  np.repeat(0.5 * cells.weights, 2, axis=-1), detuning)
 
 
 def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> CandidateSet:
@@ -231,25 +253,29 @@ def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> 
                   FringeEvaluator(design, bias).detuning)
 
 
-def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator) -> tuple[float, float]:
+def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator):
     """Delay and measurement phase for the current candidate interval.
 
     The delay stretches one fringe half-period across the interval,
     capped at the optimal delay when decoherence is on; the phase
-    centers the fringe zero crossing on the interval midpoint.
+    centers the fringe zero crossing on the interval midpoint.  Floats
+    for one candidate set; for a chunk's (one interval per run), arrays
+    over the runs.
     """
     lo, hi = candidates.interval
     n = evaluator.n_qubits
-    d_lo, d_hi, d_mid = evaluator.detuning([lo, hi, 0.5 * (lo + hi)])
+    d_lo, d_hi, d_mid = evaluator.detuning(np.stack([lo, hi, 0.5 * (lo + hi)]))
     span = abs(d_hi - d_lo)
-    if span == 0:
+    if np.any(span == 0):
         raise ArithmeticError("candidate interval has no detuning span")
     tau = np.pi / (n * span)
     if evaluator.decoherence_enabled:
         a, b = evaluator.envelope_rates
-        tau = min(tau, optimal_delay(a, b, n))
-    theta = np.pi / 2 - n * float(d_mid) * tau
-    return float(tau), float(theta)
+        tau = np.minimum(tau, optimal_delay(a, b, n))
+    theta = np.pi / 2 - n * d_mid * tau
+    if np.ndim(tau) == 0:
+        return float(tau), float(theta)
+    return tau, theta
 
 
 def sample_measurements(p_excited: float, k: int, config: PeaConfig,
@@ -264,7 +290,7 @@ def posterior_update(weights: np.ndarray, probs: np.ndarray, x: float,
                      config: PeaConfig) -> np.ndarray:
     """Bayes update of candidate weights for one readout value.
 
-    The sequential reference for the blocked update of ``run_step``.
+    The sequential reference for the blocked update of ``_step_chunk``.
     """
     z1 = (x - 1.0) / config.sigma1
     z0 = x / config.sigma0
@@ -282,7 +308,9 @@ def posterior_update(weights: np.ndarray, probs: np.ndarray, x: float,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Outcome of one halving step."""
+    """Outcome of one halving step: of one run, or of a chunk of runs (see
+    _step_chunk), whose fields then hold an array over the runs, a
+    CandidateSet with a row per run and a tuple of readouts per run."""
 
     tau: float
     theta: float
@@ -290,6 +318,12 @@ class StepRecord:
     cap_hit: bool
     survivors: CandidateSet
     readouts: tuple[float, ...] | None = None
+
+    def run(self, i: int) -> "StepRecord":
+        """Run i's record of a chunk's."""
+        return StepRecord(float(self.tau[i]), float(self.theta[i]), int(self.n_measurements[i]),
+                          bool(self.cap_hit[i]), self.survivors.run(i),
+                          None if self.readouts is None else self.readouts[i])
 
 
 # Readouts x candidates in one block, so that the block's [k, m] arrays
@@ -306,7 +340,7 @@ _BLOCK_NATS = 600.0
 # From this many candidates on, one numpy product per readout row beats
 # numpy's running product down the rows, which costs ~6 ns a cell.
 _ROW_PRODUCT_MIN = 256
-# Window screen (see run_step).  Grids of at most _DIRECT_MAX candidates
+# Window screen (see _step_chunk).  Grids of at most _DIRECT_MAX candidates
 # are screened window by window, grids of at least _SCREEN_MIN that split
 # into _SCREEN_BLOCKS equal blocks by runs of blocks, and the grids
 # between not at all.  In the benchmark campaigns, replayed step by step
@@ -349,38 +383,46 @@ def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.n
     return matrix, block_ones, cell_ones
 
 
-def _level_likelihoods(x: np.ndarray, config: PeaConfig):
-    """How many readouts of ``x`` a block keeps (see _BLOCK_NATS) and, per
-    kept readout, both level likelihoods over the larger one and the
-    larger one unscaled."""
+def _level_likelihoods(draws: list[np.ndarray], config: PeaConfig):
+    """How many readouts of each run's ``draws`` a block keeps (see
+    _BLOCK_NATS) and, per kept readout, both level likelihoods over the
+    larger one and the larger one unscaled: [runs, the most kept]
+    arrays, which hold 1 past a run's kept readouts."""
+    x = np.zeros((len(draws), max(map(len, draws))))
+    for row, drawn in zip(x, draws):
+        row[:len(drawn)] = drawn
     ll1 = -0.5 * ((x - 1.0) / config.sigma1) ** 2 - np.log(config.sigma1)
     ll0 = -0.5 * (x / config.sigma0) ** 2 - np.log(config.sigma0)
-    k = max(1, int(np.searchsorted(np.cumsum(np.abs(ll1 - ll0)), _BLOCK_NATS, side="right")))
-    ll1, ll0 = ll1[:k], ll0[:k]
+    kept = (np.cumsum(np.abs(ll1 - ll0), axis=1) <= _BLOCK_NATS).sum(axis=1)
+    k = np.maximum(1, np.minimum(kept, [len(drawn) for drawn in draws]))
+    ll1, ll0 = ll1[:, :k.max()], ll0[:, :k.max()]
+    beyond = np.arange(ll1.shape[1]) >= k[:, None]
+    ll1[beyond] = ll0[beyond] = 0.0
     top = np.maximum(ll1, ll0)
     return k, np.exp(ll1 - top), np.exp(ll0 - top), np.exp(top)
 
 
 def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
                  above: np.ndarray):
-    """The exact window test of each row of ``posterior``.
+    """The exact window test of each row of ``posterior`` (each [..., m] row).
 
     Returns whether the heaviest window of half the candidates holds
     1 - epsilon of the row's mass, the mass outside each window
     [s, s + half) for s = 0..half, and the row's mass.  ``below`` and
-    ``above`` are [rows, half + 1] buffers; the mass outside the windows
-    is written over ``below``.
+    ``above`` are [rows, half + 1] buffers (of the shape of ``posterior``
+    but the last axis); the mass outside the windows is written over
+    ``below``.
     """
-    k, half = len(posterior), posterior.shape[1] // 2
+    k, half = len(posterior), posterior.shape[-1] // 2
     # Mass below the window from the lower half of the candidates, mass
     # above it from the upper half.
     below, above = below[:k], above[:k]
-    below[:, 0] = above[:, 0] = 0.0
-    np.cumsum(posterior[:, :half], axis=1, out=below[:, 1:])
-    np.cumsum(posterior[:, :half - 1:-1], axis=1, out=above[:, 1:])
-    total = below[:, half] + above[:, half]
-    outside = np.add(below, above[:, ::-1], out=below)
-    return outside.min(axis=1) <= epsilon * total, outside, total
+    below[..., 0] = above[..., 0] = 0.0
+    np.cumsum(posterior[..., :half], axis=-1, out=below[..., 1:])
+    np.cumsum(posterior[..., :half - 1:-1], axis=-1, out=above[..., 1:])
+    total = below[..., half] + above[..., half]
+    outside = np.add(below, above[..., ::-1], out=below)
+    return outside.min(axis=-1) <= epsilon * total, outside, total
 
 
 def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray,
@@ -445,6 +487,21 @@ def _workspace_cells(config: PeaConfig) -> int:
     return max(rows * sum(columns) for rows, columns in layouts)
 
 
+def _workspace(cells: int) -> np.ndarray:
+    """A float64 array of ``cells`` in an anonymous memory mapping of its own.
+
+    A chunk's workspace spans megabytes, of which a step touches the head
+    of each buffer.  Mapped on its own, the pages no block writes never
+    become resident, and freeing it unmaps it.  From the heap, freeing it
+    would raise malloc's mmap threshold past its size, so the next
+    chunk's workspace and the temporaries below that size would come
+    from a heap that keeps every page once written resident.
+    """
+    import mmap  # only campaigns need it, so `import fluxsense` does not load it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * cells), dtype=float)
+
+
 def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvaluator,
              config: PeaConfig, rng: np.random.Generator,
              record_readouts: bool = False, workspace: np.ndarray | None = None) -> StepRecord:
@@ -453,116 +510,169 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     The contiguous window of m/2 candidates with the most posterior mass
     (ties to the lowest) survives with its weights renormalized; the
     step ends after the first readout at which it holds 1 - epsilon.
-    Readouts come in blocks of k, and one [k, m] array holds the
-    posterior after every readout of the block.  Hitting the measurement
-    cap is recorded, not fatal.
-
-    On the grids _screen_blocks picks, the exact window test sees only
-    the rows that pass _window_screen, which cannot turn away a row that
-    decides (see the module docstring).  The kept window comes from the
-    exact test of the step's last row, run again only when that row is a
-    capped one the test never saw.
-
-    The fringe over the candidates is evaluated at
-    ``candidates.detunings``, and the survivors carry their slice.
+    Hitting the measurement cap is recorded, not fatal.  This is
+    _step_chunk for a chunk of one run.
 
     The block buffers are views of ``workspace``, a 1-D float64 array
-    (run_single sizes one with _workspace_cells) that the step writes
-    before it reads; without one the step allocates its own.
+    of at least _workspace_cells cells that the step writes before it
+    reads; without one the step allocates its own.
     """
-    m = len(candidates)
+    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing,
+                         candidates.detunings[None])
+    return _step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
+                       record_readouts, workspace).run(0)
+
+
+def _screened_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
+                        below: np.ndarray, above: np.ndarray):
+    """Deciding rows and row masses of a block on the sizes _screen_blocks
+    picks, run by run: [runs, rows] arrays, the masses 1 past a run's
+    ``k`` rows.
+
+    The exact test sees the rows from the first to the last that the
+    screen passes; only passed rows may decide.  Each run is screened
+    over its own k rows, as if stepped alone: BLAS sums a row in an order
+    that depends on the height of the matrix, so a product over the
+    chunk would move the last bits of a run's masses with its companions.
+    ``below`` and ``above`` are [rows, half + 1] buffers.
+    """
+    decided = np.zeros(posterior.shape[:2], dtype=bool)
+    total = np.ones(posterior.shape[:2])
+    for run, rows in enumerate(k):
+        block = posterior[run, :rows]
+        passed, total[run, :rows] = _window_screen(block, epsilon, below, above)
+        tested = np.flatnonzero(passed)
+        if tested.size:
+            first, last = tested[0], tested[-1] + 1
+            exact = _window_test(block[first:last], epsilon, below, above)[0]
+            decided[run, first:last] = exact & passed[first:last]
+    return decided, total
+
+
+def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
+                evaluator: FringeEvaluator, config: PeaConfig, rngs: list[np.random.Generator],
+                record_readouts: bool = False,
+                workspace: np.ndarray | None = None) -> StepRecord:
+    """One step of each run of a chunk, in lockstep: run_step's rule for
+    every row of ``candidates`` (a chunk's CandidateSet, see there),
+    ``true_detunings`` the detuning of each run's true flux and ``rngs``
+    its generator.  Returns the chunk's StepRecord.
+
+    Each run draws blocks of readouts from its own generator, of the
+    sizes it would draw alone, and one [runs, readouts, candidates]
+    array holds the posterior after every readout of the block of every
+    run still measuring, trimmed to the most readouts a run keeps; a
+    run's rows past its own are ignored.  The arithmetic of each run is
+    that of the run alone, so its readouts, decisions and survivors do
+    not depend on its companions: the window test and the products act
+    row by row, and the screened sizes sum each run's rows on their own
+    (see _screened_decisions).  A run that decides or hits the cap
+    leaves the blocks.
+
+    On the sizes _screen_blocks picks, the exact window test sees only
+    the rows that pass _window_screen, which cannot turn away a row that
+    decides (see the module docstring).  The kept window comes from the
+    exact test of a run's last row.
+
+    The block buffers are views of ``workspace``, a 1-D float64 array of
+    at least runs * _workspace_cells cells that the step writes before it
+    reads; without one the step allocates its own.
+    """
+    runs, m = candidates.fluxes.shape
     if m < 2 or m % 2 != 0:
         raise ValueError("halving needs an even number of candidates, at least 2")
     tau, theta = choose_delay(candidates, evaluator)
-    probs = evaluator.probability_at(candidates.detunings, tau, theta)
-    p_true = float(evaluator.probability_excited(true_flux, tau, theta))
+    probs = evaluator.probability_at(candidates.detunings, tau[:, None], theta[:, None])
+    p_true = evaluator.probability_at(true_detunings, tau, theta)
 
     half = m // 2
     cap = config.measurement_cap
     epsilon = config.epsilon
-    # Block buffers, sliced to k rows per block.  They live as long as
-    # the workspace, a whole run in run_single: fresh buffers on every
-    # step or block cost heap trimming and page faults.
+    # Block buffers, sliced to [runs, k] rows per block.  They live as
+    # long as the workspace, a whole chunk in _run_chunk: fresh buffers
+    # on every step or block cost heap trimming and page faults.
     rows, columns = _block_layout(m, cap)
-    cells = rows * sum(columns)
+    sizes = [runs * rows * width for width in columns]
     if workspace is None:
-        workspace = np.empty(cells)
-    elif workspace.size < cells:
-        raise ValueError(f"workspace holds {workspace.size} cells, "
-                         f"a step over {m} candidates needs {cells}")
-    buffers, offset = [], 0
-    for width in columns:
-        buffers.append(workspace[offset:offset + rows * width].reshape(rows, width))
-        offset += rows * width
-    posterior_buf, below_buf, above_buf = buffers
+        workspace = np.empty(sum(sizes))
+    elif workspace.size < sum(sizes):
+        raise ValueError(f"workspace holds {workspace.size} cells, a step of {runs} runs "
+                         f"over {m} candidates needs {sum(sizes)}")
+    posterior_buf, below_buf, above_buf = np.split(workspace[:sum(sizes)], np.cumsum(sizes)[:2])
     screened = _screen_blocks(m) > 0
-    size = min(_FIRST_BLOCK, rows)
+    # Per run, in run order: what the step returns.
+    counts = np.zeros(runs, dtype=int)
+    cap_hits = np.zeros(runs, dtype=bool)
+    starts = np.zeros(runs, dtype=int)
+    kept = np.empty((runs, half))
+    readouts = [[] for _ in range(runs)]
+    # Per run still measuring: its index, and what its next block reads.
+    active = np.arange(runs)
     weights = candidates.weights
-    readouts: list[float] = []
-    n = 0
-    while True:
-        x = sample_measurements(p_true, min(size, cap - n), config, rng)
-        k, a1, a0, scale = _level_likelihoods(x, config)
-        size = min(2 * k, rows)
-        # posterior[r] = weights * prod over readouts 0..r of the scaled likelihoods
-        posterior = np.multiply.outer(a1 - a0, probs, out=posterior_buf[:k])
-        posterior += a0[:, None]
-        posterior[0] *= weights
+    size = np.full(runs, min(_FIRST_BLOCK, rows))
+    while active.size:
+        draws = [sample_measurements(p_true[run], min(size[lane], cap - counts[run]), config,
+                                     rngs[run]) for lane, run in enumerate(active)]
+        k, a1, a0, scale = _level_likelihoods(draws, config)
+        lanes, depth = np.arange(len(active)), a1.shape[1]
+        size = np.minimum(2 * k, rows)
+        # posterior[i, r] = weights[i] * prod over readouts 0..r of run i's scaled likelihoods
+        posterior = posterior_buf[:a1.size * m].reshape(*a1.shape, m)
+        np.multiply((a1 - a0)[:, :, None], probs[:, None], out=posterior)
+        posterior += a0[:, :, None]
+        posterior[:, 0] *= weights
         if m >= _ROW_PRODUCT_MIN:
-            for row in range(1, k):
-                np.multiply(posterior[row], posterior[row - 1], out=posterior[row])
+            for row in range(1, depth):
+                np.multiply(posterior[:, row], posterior[:, row - 1], out=posterior[:, row])
         else:
-            np.cumprod(posterior, axis=0, out=posterior)
-        # The exact test runs on rows first..last - 1, a view, and
-        # outside[i] is the mass outside each window of row first + i.
+            np.cumprod(posterior, axis=1, out=posterior)
+        below = below_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
+        above = above_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
         if screened:
-            # Those are the rows from the first to the last that the
-            # screen passes; only passed rows may decide.
-            decided = np.zeros(k, dtype=bool)
-            passed, total = _window_screen(posterior, epsilon, below_buf, above_buf)
-            tested = np.flatnonzero(passed)
-            first = last = 0
-            if tested.size:
-                first, last = tested[0], tested[-1] + 1
-                exact, outside, _ = _window_test(posterior[first:last], epsilon,
-                                                 below_buf, above_buf)
-                decided[first:last] = exact & passed[first:last]
+            decided, total = _screened_decisions(posterior, k, epsilon, below, above)
         else:
-            first, last = 0, k
-            decided, outside, total = _window_test(posterior, epsilon, below_buf, above_buf)
+            decided, _, total = _window_test(posterior, epsilon, below.reshape(*a1.shape, -1),
+                                             above.reshape(*a1.shape, -1))
         # The unscaled evidence of each readout, as posterior_update sums
         # it; weights enter normalized, so the first row divides by 1.
-        evidence = scale * total / np.concatenate(([1.0], total[:-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            evidence = scale * total / np.concatenate((np.ones((len(lanes), 1)), total[:, :-1]),
+                                                      axis=1)
         degenerate = ~(np.isfinite(evidence) & (evidence > 0.0))
-        stops = np.flatnonzero(decided | degenerate)
-        r = int(stops[0]) if stops.size else k - 1
-        if degenerate[r]:
+        stops = (decided | degenerate) & (np.arange(depth) < k[:, None])
+        r = np.where(stops.any(axis=1), stops.argmax(axis=1), k - 1)
+        if degenerate[lanes, r].any():
             raise DegenerateLikelihoodError(
                 "posterior mass underflowed; readout is inconsistent with every candidate"
             )
-        n += r + 1
+        counts[active] += r + 1
         if record_readouts:
-            readouts.extend(x[:r + 1].tolist())
-        if decided[r] or n >= cap:
-            break
-        weights = posterior[r] / total[r]
+            for lane, run in enumerate(active):
+                readouts[run].extend(draws[lane][:r[lane] + 1].tolist())
+        ends = decided[lanes, r] | (counts[active] >= cap)
+        if ends.any():
+            # The kept window of each run that ends, from the exact test of its last row.
+            done, final = active[ends], posterior[lanes[ends], r[ends]]
+            start = _window_test(final, epsilon, below, above)[1].argmin(axis=1)
+            window = np.take_along_axis(final, start[:, None] + np.arange(half), axis=1)
+            starts[done] = start
+            kept[done] = window / window.sum(axis=1, keepdims=True)
+            cap_hits[done] = ~decided[lanes, r][ends]
+        going = ~ends
+        weights = posterior[lanes[going], r[going]] / total[lanes, r][going, None]
+        active, probs, size = active[going], probs[going], size[going]
 
-    # A deciding row had the exact test; a capped row past the last row the
-    # screen passed did not.
-    if not first <= r < last:
-        first, outside = r, _window_test(posterior[r:r + 1], epsilon, below_buf, above_buf)[1]
-    start = int(np.argmin(outside[r - first]))
-    window = slice(start, start + half)
-    kept = posterior[r, window]
-    survivors = CandidateSet(candidates.fluxes[window], kept / kept.sum(), candidates.spacing,
-                             candidates.detunings[window])
+    window = starts[:, None] + np.arange(half)
+    survivors = CandidateSet(np.take_along_axis(candidates.fluxes, window, axis=1), kept,
+                             candidates.spacing,
+                             np.take_along_axis(candidates.detunings, window, axis=1))
     return StepRecord(
         tau=tau,
         theta=theta,
-        n_measurements=n,
-        cap_hit=not decided[r],
+        n_measurements=counts,
+        cap_hit=cap_hits,
         survivors=survivors,
-        readouts=tuple(readouts) if record_readouts else None,
+        readouts=tuple(map(tuple, readouts)) if record_readouts else None,
     )
 
 
@@ -614,7 +724,18 @@ class RunResult(_Traced):
 
 def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
                rng: np.random.Generator, record_steps: bool = False) -> RunResult:
-    """One full estimation of one target flux.
+    """One full estimation of one target flux: _run_chunk for a chunk of one run."""
+    trace, records = _run_chunk([true_flux], evaluator, config, [rng], record_steps)
+    return RunResult(trace[0], true_flux,
+                     tuple(rec.run(0) for rec in records) if record_steps else None)
+
+
+def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
+               rngs: list[np.random.Generator], record_steps: bool = False):
+    """Full estimations of a chunk of runs, one per true flux and
+    generator, stepped in lockstep (_step_chunk).  Returns their TRACE
+    records [run, step] and each step's StepRecord of the chunk, or
+    None without ``record_steps``.
 
     Steps run on cells of the grid of build_flux_grid, as wide as
     _cell_widths says, and before the next step each kept cell of more
@@ -624,26 +745,31 @@ def run_single(true_flux: float, evaluator: FringeEvaluator, config: PeaConfig,
     centre, that is, when its grid point lies in a kept cell.  On single
     grid points both are the rules of the grid itself.
 
-    Every step takes its block buffers from one workspace (see run_step)
-    allocated here.
+    Every step takes its block buffers from one workspace allocated here.
     """
     widths = _cell_widths(config)
     spacing = _grid_spacing(evaluator.design, evaluator.bias_point, config)
-    count = config.resolved_grid_size // widths[0]
-    candidates = _cells(spacing, 0, widths[0], np.full(count, 1.0 / count), evaluator.detuning)
-    workspace = np.empty(_workspace_cells(config))
-    trace, records, elapsed = np.empty(config.n_steps, TRACE), [], 0.0
+    runs, count = len(rngs), config.resolved_grid_size // widths[0]
+    candidates = _cells(spacing, np.zeros((runs, 1)), widths[0],
+                        np.full((runs, count), 1.0 / count), evaluator.detuning)
+    true_fluxes = np.asarray(true_fluxes, dtype=float)
+    true_detunings = evaluator.detuning(true_fluxes)
+    workspace = _workspace(runs * _workspace_cells(config))
+    trace, records, elapsed = np.empty((runs, config.n_steps), TRACE), [], 0.0
     for i, width in enumerate(widths):
-        rec = run_step(candidates, true_flux, evaluator, config, rng,
-                       record_readouts=record_steps, workspace=workspace)
+        rec = _step_chunk(candidates, true_detunings, evaluator, config, rngs,
+                          record_readouts=record_steps, workspace=workspace)
         kept = rec.survivors
         centres = _centres(kept.fluxes, kept.spacing, spacing)
-        elapsed += rec.tau * rec.n_measurements
-        trace[i] = (rec.tau, rec.n_measurements, float(np.dot(kept.weights, centres)), elapsed,
-                    rec.cap_hit, np.abs(centres - true_flux).min() <= 0.5 * kept.spacing)
+        elapsed = elapsed + rec.tau * rec.n_measurements
+        estimates = np.matmul(kept.weights[:, None], centres[:, :, None])[:, 0, 0]
+        retained = np.abs(centres - true_fluxes[:, None]).min(axis=1) <= 0.5 * kept.spacing
+        for name, values in zip(TRACE.names, (rec.tau, rec.n_measurements, estimates, elapsed,
+                                              rec.cap_hit, retained)):
+            trace[name][:, i] = values
         records.append(rec)
         candidates = _refine(kept, spacing, evaluator.detuning) if width > 1 else kept
-    return RunResult(trace, true_flux, tuple(records) if record_steps else None)
+    return trace, records if record_steps else None
 
 
 def _pair_rng(master_seed: int, target_index: int, repetition: int) -> np.random.Generator:
@@ -698,11 +824,13 @@ def campaign_targets(design: SensorDesign, bias: FluxBias, config: PeaConfig) ->
     return spacing * indices
 
 
-def _campaign_worker(args) -> RunResult:
-    design, bias, config, target, j, k = args
+def _campaign_worker(args) -> np.ndarray:
+    """TRACE records [run, step] of one chunk of (target, repetition) pairs."""
+    design, bias, config, pairs = args
     evaluator = FringeEvaluator(design, bias, n_qubits=config.n_qubits,
                                 decoherence_enabled=config.decoherence_enabled)
-    return run_single(target, evaluator, config, _pair_rng(config.master_seed, j, k))
+    rngs = [_pair_rng(config.master_seed, j, k) for _, j, k in pairs]
+    return _run_chunk([target for target, _, _ in pairs], evaluator, config, rngs)[0]
 
 
 @dataclass(frozen=True)
@@ -723,24 +851,25 @@ def run_campaign(design: SensorDesign, bias: FluxBias, config: PeaConfig,
                  n_jobs: int = 1) -> CampaignResult:
     """Estimate every target n_repetitions times and aggregate.
 
-    ``n_jobs`` > 1 distributes (target, repetition) pairs over worker
-    processes, no more than there are chunks of pairs, and runs serially
+    The (target, repetition) pairs run in chunks of 8, each stepped in
+    lockstep (_run_chunk).  ``n_jobs`` > 1 distributes the chunks over
+    worker processes, no more than there are chunks, and runs serially
     when that is one; results are identical to the serial path.
     """
     targets = campaign_targets(design, bias, config)
     f, m = config.n_flux_targets, config.n_repetitions
-    jobs = [(design, bias, config, float(targets[j]), j, k)
-            for j in range(f) for k in range(m)]
-    # Both maps keep job order, which is [target, repetition] order.
-    chunk = 8  # pairs a worker takes at a time
-    workers = min(n_jobs, -(-len(jobs) // chunk))
+    pairs = [(float(targets[j]), j, k) for j in range(f) for k in range(m)]
+    # Both maps keep chunk order, which is [target, repetition] order.
+    chunk = 8  # runs stepped together, and a worker's share at a time
+    chunks = [(design, bias, config, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)]
+    workers = min(n_jobs, len(chunks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_campaign_worker, jobs, chunksize=chunk))
+            traces = list(pool.map(_campaign_worker, chunks, chunksize=1))
     else:
-        runs = list(map(_campaign_worker, jobs))
-    return CampaignResult(np.array([run.trace for run in runs]).reshape(f, m, -1), config, targets)
+        traces = list(map(_campaign_worker, chunks))
+    return CampaignResult(np.concatenate(traces).reshape(f, m, -1), config, targets)
 
 
 def aggregate_report(result: CampaignResult) -> str:

@@ -189,3 +189,35 @@ def test_pattern_subset_property():
     tau = 2e-7
     assert np.array_equal(ev.probability_excited(coarse, tau),
                           ev.probability_excited(fine, tau)[:3072])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("decohere", [True, False])
+def test_array_delays_match_scalar_calls_bit_for_bit(n_qubits, decohere):
+    # a delay and phase per row of detunings, as a chunk of runs steps:
+    # every element equals the call with that row's scalar delay and phase
+    ev = FringeEvaluator(DESIGN, BIAS, n_qubits=n_qubits, decoherence_enabled=decohere)
+    rng = np.random.default_rng(10 * n_qubits + decohere)
+    fluxes = rng.uniform(-1e-4, 5e-5, (8, 48))
+    delta = ev.detuning(fluxes)
+    tau = rng.uniform(0.0, 5e-6, 8)
+    theta = rng.uniform(-50.0, 50.0, 8)
+    probs = ev.probability_at(delta, tau[:, None], theta[:, None])
+    envelopes = ev.envelope(tau)
+    for i in range(8):
+        assert np.array_equal(probs[i], ev.probability_at(delta[i], float(tau[i]),
+                                                          float(theta[i])))
+        assert envelopes[i] == ev.envelope(float(tau[i]))
+        for j in range(0, 48, 7):
+            assert delta[i, j] == ev.detuning(float(fluxes[i, j]))
+            assert probs[i, j] == ev.probability_excited(float(fluxes[i, j]), float(tau[i]),
+                                                         float(theta[i]))
+
+
+@pytest.mark.parametrize("tau, theta", [([1e-7, math.nan], 0.0), ([1e-7, -1e-9], 0.0),
+                                        ([1e-7, math.inf], 0.0), (1e-7, [0.0, math.inf]),
+                                        ([1e-7, 2e-7], [math.nan, 0.0])])
+def test_every_delay_and_phase_is_range_checked(tau, theta):
+    ev = FringeEvaluator(DESIGN, BIAS, n_qubits=1)
+    with pytest.raises(ValueError, match="finite delays"):
+        ev.probability_at(np.zeros(2), np.array(tau), np.array(theta))

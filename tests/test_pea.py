@@ -239,6 +239,22 @@ def test_choose_delay_zero_span():
         choose_delay(degenerate, _evaluator(1))
 
 
+@pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
+def test_choose_delay_takes_a_chunk_of_intervals(n_qubits, decohere):
+    # one interval per run: each run's delay and phase, bit for bit
+    evaluator = _evaluator(n_qubits, decohere)
+    grid = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=n_qubits))
+    sets = [CandidateSet.uniform(grid.fluxes[s:s + w], grid.spacing, grid.detunings[s:s + w])
+            for s, w in [(0, 96), (5, 96), (700, 96), (1900, 96), (33, 96)]]
+    chunk = CandidateSet(np.array([c.fluxes for c in sets]), np.array([c.weights for c in sets]),
+                         grid.spacing, np.array([c.detunings for c in sets]))
+    tau, theta = choose_delay(chunk, evaluator)
+    assert [(float(t), float(p)) for t, p in zip(tau, theta)] == [
+        choose_delay(c, evaluator) for c in sets]
+    for i, candidates in enumerate(sets):
+        assert chunk.run(i).interval == candidates.interval
+
+
 def test_delay_caps_at_optimum_under_decoherence():
     config = PeaConfig(n_qubits=2)
     grid = build_flux_grid(DESIGN, BIAS, config)
@@ -406,14 +422,15 @@ def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size
 
 
 def _fed_candidates(monkeypatch):
-    """The candidate sets run_step is called with from now on, in call order."""
-    fed, step = [], pea.run_step
+    """The candidate sets the step kernel is fed from now on, in call
+    order: the set of the first run of each chunk step."""
+    fed, step = [], pea._step_chunk
 
     def recording_step(candidates, *args, **kwargs):
-        fed.append(candidates)
+        fed.append(candidates.run(0))
         return step(candidates, *args, **kwargs)
 
-    monkeypatch.setattr(pea, "run_step", recording_step)
+    monkeypatch.setattr(pea, "_step_chunk", recording_step)
     return fed
 
 
@@ -459,6 +476,50 @@ def test_coarse_run_matches_sequential_oracle(monkeypatch, n_qubits, decohere, s
         assert result.cap_hits.any()
 
 
+def _same_record(rec, ref):
+    """Whether two StepRecords of one run agree bit for bit."""
+    return ((rec.tau, rec.theta, rec.n_measurements, rec.cap_hit, rec.readouts)
+            == (ref.tau, ref.theta, ref.n_measurements, ref.cap_hit, ref.readouts)
+            and rec.survivors.spacing == ref.survivors.spacing
+            and all(np.array_equal(getattr(rec.survivors, field), getattr(ref.survivors, field))
+                    for field in ("fluxes", "weights", "detunings")))
+
+
+@pytest.mark.parametrize("n_qubits, decohere, sigma, n_steps, grid_size, cap", [
+    (1, False, 1.0, 9, None, 10_000),   # 48 cells, then 24 grid points (window screen)
+    (3, True, 1.0, 9, None, 10_000),    # 64 cells, then capped steps on 32, 16 and 8
+    (3, True, 0.05, 9, None, 10_000),
+    (2, True, 1.0, 6, 64, 300),         # 64 grid points, then m <= 32, some runs capped
+    (1, False, 1.0, 9, None, 40),       # the cap ends the first block
+    (3, True, 0.5, 9, None, 300),
+    (1, False, 1.0, 3, None, 10_000),   # 1536 cells: block screen and row product
+    (1, True, 0.05, 3, None, 20),       # blocks of 21 readouts: the cap ends the first
+    (1, True, 1.0, 3, 3000, 10_000),    # 750 cells: the exact test on every row
+])
+def test_chunk_steps_each_run_as_alone(n_qubits, decohere, sigma, n_steps, grid_size, cap):
+    # runs stepped together in one chunk, whose companions decide in other
+    # blocks or hit the cap, against the same runs stepped alone: every
+    # trace field and step record, bit for bit
+    config = PeaConfig(n_qubits=n_qubits, sigma0=sigma, sigma1=sigma, n_steps=n_steps,
+                       grid_size=grid_size, measurement_cap=cap, decoherence_enabled=decohere)
+    evaluator = _evaluator(n_qubits, decohere)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    fluxes = [float(grid.fluxes[(911 * i + 17) % len(grid)]) for i in range(6)]
+    seeds = [np.random.SeedSequence((77, i)) for i in range(6)]
+    trace, records = pea._run_chunk(fluxes, evaluator, config,
+                                    [np.random.default_rng(s) for s in seeds], record_steps=True)
+    for i, (flux, seed) in enumerate(zip(fluxes, seeds)):
+        alone = run_single(flux, evaluator, config, np.random.default_rng(seed),
+                           record_steps=True)
+        assert trace[i].tobytes() == alone.trace.tobytes()
+        assert all(_same_record(rec.run(i), ref) for rec, ref in zip(records, alone.steps))
+    counts = trace["counts"]
+    assert any(len(set(step)) > 1 for step in counts.T), "every run stopped together"
+    if cap < 10_000:
+        capped = trace["cap_hits"]
+        assert any(0 < step.sum() < len(step) for step in capped.T), "no step capped some runs"
+
+
 def test_run_step_degenerate_readout(monkeypatch):
     # a readout about 40 sigma from both levels underflows every likelihood,
     # in the blocked update as in the sequential one
@@ -472,6 +533,24 @@ def test_run_step_degenerate_readout(monkeypatch):
     with pytest.raises(DegenerateLikelihoodError):
         run_step(grid, float(grid.fluxes[4]), _evaluator(1), config,
                  np.random.default_rng(0))
+    # in a chunk, the one run whose readout underflows raises, in its second
+    # block, after a companion has decided and while another still measures
+    rngs = [np.random.default_rng(run) for run in range(3)]
+    streams = {id(rngs[0]): iter([0.5] * 64 + [0.3, 40.0] + [0.5] * 126),
+               id(rngs[1]): iter([1.0] * 64),  # decides at the 34th readout
+               id(rngs[2]): iter([0.5] * 192)}  # no information: never decides
+    drawn = []
+
+    def sample(p, k, config, rng):
+        drawn.append(rng)
+        return np.fromiter(streams[id(rng)], float, k)
+
+    monkeypatch.setattr("fluxsense.pea.sample_measurements", sample)
+    chunk = CandidateSet(np.tile(grid.fluxes, (3, 1)), np.tile(grid.weights, (3, 1)),
+                         grid.spacing, np.tile(grid.detunings, (3, 1)))
+    with pytest.raises(DegenerateLikelihoodError):
+        pea._step_chunk(chunk, np.zeros(3), _evaluator(1), config, rngs)
+    assert [drawn.count(rng) for rng in rngs] == [2, 1, 2]
 
 
 def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
@@ -624,6 +703,14 @@ def test_reused_workspace_matches_fresh_buffers():
 # headroom.  A step that allocates its own block buffers peaks at
 # 594-734 KiB.
 _STEP_PEAK_BYTES = 2 * 181 * 1024
+# The same of one warm chunk step over 8 runs with the chunk's workspace,
+# on the cells a chunk steps on: 159-249 KiB on the steps that end within
+# a few blocks, rising with the block length on the capped steps to
+# 772-788 KiB at the last (805 KiB at other seeds), where the readouts and
+# likelihoods of 8 blocks of up to 4096 readouts take 256 KiB an array.
+# The bound has 2x headroom; one [runs, readouts, candidates] temporary at
+# m = 64 or m = 8 takes 2 MiB.
+_CHUNK_STEP_PEAK_BYTES = 2 * 805 * 1024
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -645,6 +732,28 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
             tracemalloc.stop()
         candidates = rec.survivors
     assert max(peaks.values()) <= _STEP_PEAK_BYTES, peaks
+    # a chunk of 8 runs steps the cells of a chunk with its own workspace
+    runs, widths = 8, pea._cell_widths(config)
+    count = len(grid) // widths[0]
+    candidates = pea._cells(grid.spacing, np.zeros((runs, 1)), widths[0],
+                            np.full((runs, count), 1.0 / count), evaluator.detuning)
+    true_detunings = evaluator.detuning(grid.fluxes[(901 + 311 * np.arange(runs)) % len(grid)])
+    rngs = [np.random.default_rng((n_qubits, run)) for run in range(runs)]
+    workspace = pea._workspace(runs * pea._workspace_cells(config))
+    pea._step_chunk(candidates, true_detunings, evaluator, config, rngs,
+                    workspace=workspace)  # warm
+    peaks = {}
+    for step, width in enumerate(widths, start=1):
+        tracemalloc.start()
+        try:
+            rec = pea._step_chunk(candidates, true_detunings, evaluator, config, rngs,
+                                  workspace=workspace)
+            peaks[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        candidates = (pea._refine(rec.survivors, grid.spacing, evaluator.detuning)
+                      if width > 1 else rec.survivors)
+    assert max(peaks.values()) <= _CHUNK_STEP_PEAK_BYTES, peaks
 
 
 @pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
