@@ -14,17 +14,16 @@ over every run, and the microseconds per measurement.  By default it
 runs the campaigns of the two PEA benchmark workloads
 (perfbench/workloads.py); ``--desk`` adds the desk campaigns of the
 command line (32 targets x 8 repetitions).  ``--exact`` turns the
-window screen off, so the exact window test runs on every block row.
+window screen of the steps on at most ``pea._DIRECT_MAX`` cells off, so
+the exact window test runs on every block row of every step.
 
     PYTHONPATH=src python3 scripts/step_costs.py --repeats 4
 
 Each campaign runs ``--repeats`` times, at master seeds 1, 2, ...; the
 figures sum over them.  The table shows where a campaign's time goes.
-It does not choose the grids the window screen of ``run_step`` runs on:
-run as separate processes, rows whose code two variants share read
-0.86-1.13x of each other, wider than the 2-5 % effects that decided
-m = 192 and 256.  Those were decided by replaying the campaigns' steps
-with and without the screen, interleaved step by step in one process.
+Run as separate processes, rows whose code two variants share read
+0.86-1.13x of each other, so two variants compare only on effects
+wider than that.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def main() -> None:
                         help="no window screen: the exact window test on every row")
     args = parser.parse_args()
     if args.exact:
-        pea._screen_blocks = lambda m: 0
+        pea._DIRECT_MAX = 0
     campaigns = {**BENCHMARK, **(DESK if args.desk else {})}
     for name, settings in campaigns.items():
         wall, by_step = step_costs(settings, args.repeats)

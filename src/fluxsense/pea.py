@@ -26,16 +26,14 @@ sensors run steps 1-8 (N = 1) and 1-7 (N = 2) on 48 cells and steps 1-6
 
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
-A screen of one matrix product picks the rows of a block that may
-decide.  On narrow sets its columns are the windows of half the
-candidates; on wide ones (256 candidates and more, in 64 equal blocks,
-which only a grid that cannot coarsen to _MAX_CELLS cells steps on)
-they are the runs of 33 of the 64 blocks, and any window lies inside
-one.  No weight is negative, so a row none of whose columns holds
-1 - epsilon of its mass cannot decide.  The exact window test runs only
-on the rows that pass, and its result on the deciding row gives the kept
-window, so the deciding readout and the kept window are the same as
-without the screen.  The candidates carry their detunings, computed
+On sets of at most _DIRECT_MAX candidates a screen of one matrix
+product, whose columns are the windows of half the candidates, picks
+the rows of a block that may decide: no weight is negative, so a row
+none of whose windows holds 1 - epsilon of its mass cannot decide.  The
+exact window test runs only on the rows that pass, and its result on
+the deciding row gives the kept window, so the deciding readout and the
+kept window are the same as without the screen.  Wider sets run the
+exact test on every row.  The candidates carry their detunings, computed
 once for each set of cells, and the survivors of a step their slice of
 them.
 
@@ -337,50 +335,28 @@ _FIRST_BLOCK = 64
 # (~5e5 nats at sigma0 = sigma1 = 1e-3), each block keeps one readout and
 # discards the rest: still exact, but one set of numpy calls a readout.
 _BLOCK_NATS = 600.0
-# From this many candidates on, one numpy product per readout row beats
-# numpy's running product down the rows, which costs ~6 ns a cell.
-_ROW_PRODUCT_MIN = 256
-# Window screen (see _step_chunk).  Grids of at most _DIRECT_MAX candidates
-# are screened window by window, grids of at least _SCREEN_MIN that split
-# into _SCREEN_BLOCKS equal blocks by runs of blocks, and the grids
-# between not at all.  In the benchmark campaigns, replayed step by step
-# with and without the screen at one and at two BLAS threads, the block
-# screen made a step 14 % faster at m = 768, 6-8 % at 384 and 512 and
-# 2.5 % at 256, but 0-2 % slower at 192; window by window it cost m = 48
-# as much as it spared, and from m = 64 on OpenBLAS splits the window
-# product over threads, slower on two cores.  The relative slack is far
-# above the rounding of the products (~m * 2^-53 of the row's mass).
+# Window screen (see _step_chunk): sets of at most _DIRECT_MAX candidates
+# are screened window by window, wider ones not at all.  At m = 48 the
+# screen cost as much as it spared, and from m = 64 on OpenBLAS splits the
+# window product over threads, slower on two cores.  The relative slack is
+# far above the rounding of the products (~m * 2^-53 of the row's mass).
 _DIRECT_MAX = 32
-_SCREEN_MIN = 256
-_SCREEN_BLOCKS = 64
 _SCREEN_SLACK = 1e-9
 
 
-def _screen_blocks(m: int) -> int:
-    """Blocks the window screen sums m candidates into: m, _SCREEN_BLOCKS or 0 (no screen)."""
-    if m <= _DIRECT_MAX:
-        return m
-    if m >= _SCREEN_MIN and m % _SCREEN_BLOCKS == 0:
-        return _SCREEN_BLOCKS
-    return 0
-
-
 @functools.lru_cache(maxsize=64)
-def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The screen's matrix over m candidates, a column of ones over its
-    blocks and one over the cells of a block.
+def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's matrix over m candidates and a column of m ones.
 
-    Column j of the matrix is the indicator of the j-th window of m/2
-    candidates (on grids screened window by window) or of the j-th run
-    of _SCREEN_BLOCKS/2 + 1 blocks, less (1 - _SCREEN_SLACK)(1 - epsilon).
+    Column s of the matrix is the indicator of the window [s, s + m/2),
+    less (1 - _SCREEN_SLACK)(1 - epsilon).
     """
-    blocks = _screen_blocks(m)
-    run = blocks // 2 + (blocks < m)
-    cell, start = np.arange(blocks)[:, None], np.arange(blocks - run + 1)
-    matrix = ((cell >= start) & (cell < start + run)) - (1.0 - _SCREEN_SLACK) * (1.0 - epsilon)
-    block_ones, cell_ones = np.ones(blocks), np.ones(m // blocks)
-    matrix.flags.writeable = block_ones.flags.writeable = cell_ones.flags.writeable = False
-    return matrix, block_ones, cell_ones
+    half = m // 2
+    cell, start = np.arange(m)[:, None], np.arange(half + 1)
+    matrix = ((cell >= start) & (cell < start + half)) - (1.0 - _SCREEN_SLACK) * (1.0 - epsilon)
+    ones = np.ones(m)
+    matrix.flags.writeable = ones.flags.writeable = False
+    return matrix, ones
 
 
 def _level_likelihoods(draws: list[np.ndarray], config: PeaConfig):
@@ -425,31 +401,22 @@ def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     return outside.min(axis=-1) <= epsilon * total, outside, total
 
 
-def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray,
-                   above: np.ndarray):
+def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray):
     """Rows of ``posterior`` that the exact window test may accept, and their mass.
 
     A row passes when some column of its product with _screen_matrix is
-    not negative.  The product is written transposed, a row per column
-    of the matrix, so that its maximum per block row is elementwise
-    across a few long rows: a reduction along each of many short rows
-    costs far more.  The block sums are one BLAS product too, of the
-    [k * blocks, block width] view by a column of ones: a numpy sum over
-    an axis a few dozen cells wide costs twice as much or more.  The
-    window test's buffers ``below`` and ``above`` hold the product and
-    the block sums; both fit, as neither is wider than half the
-    candidates plus one.
+    not negative.  The product is written transposed, a row per window,
+    so that its maximum per readout row is elementwise across a few long
+    rows: a reduction along each of many short rows costs far more.  It
+    is written over the window test's buffer ``below``, which it fits.
+    The masses are a BLAS product with a column of ones too: a numpy sum
+    along rows a few dozen cells wide costs twice as much or more.
     """
     k, m = posterior.shape
-    matrix, block_ones, cell_ones = _screen_matrix(m, epsilon)
-    blocks = posterior
-    if len(block_ones) < m:
-        sums = above.reshape(-1)[:k * len(block_ones)]
-        blocks = np.matmul(posterior.reshape(-1, len(cell_ones)), cell_ones, out=sums)
-        blocks = blocks.reshape(k, -1)
+    matrix, ones = _screen_matrix(m, epsilon)
     margin = below.reshape(-1)[:matrix.shape[1] * k].reshape(-1, k)
-    np.matmul(matrix.T, blocks.T, out=margin)
-    return margin.max(axis=0) >= 0.0, blocks @ block_ones
+    np.matmul(matrix.T, posterior.T, out=margin)
+    return margin.max(axis=0) >= 0.0, posterior @ ones
 
 
 def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -525,9 +492,9 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
 
 def _screened_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
                         below: np.ndarray, above: np.ndarray):
-    """Deciding rows and row masses of a block on the sizes _screen_blocks
-    picks, run by run: [runs, rows] arrays, the masses 1 past a run's
-    ``k`` rows.
+    """Deciding rows and row masses of a block of at most _DIRECT_MAX
+    candidates, run by run: [runs, rows] arrays, the masses 1 past a
+    run's ``k`` rows.
 
     The exact test sees the rows from the first to the last that the
     screen passes; only passed rows may decide.  Each run is screened
@@ -540,7 +507,7 @@ def _screened_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
     total = np.ones(posterior.shape[:2])
     for run, rows in enumerate(k):
         block = posterior[run, :rows]
-        passed, total[run, :rows] = _window_screen(block, epsilon, below, above)
+        passed, total[run, :rows] = _window_screen(block, epsilon, below)
         tested = np.flatnonzero(passed)
         if tested.size:
             first, last = tested[0], tested[-1] + 1
@@ -565,14 +532,14 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
     run's rows past its own are ignored.  The arithmetic of each run is
     that of the run alone, so its readouts, decisions and survivors do
     not depend on its companions: the window test and the products act
-    row by row, and the screened sizes sum each run's rows on their own
-    (see _screened_decisions).  A run that decides or hits the cap
-    leaves the blocks.
+    row by row, and the screen sums each run's rows on its own (see
+    _screened_decisions).  A run that decides or hits the cap leaves the
+    blocks.
 
-    On the sizes _screen_blocks picks, the exact window test sees only
+    On at most _DIRECT_MAX candidates the exact window test sees only
     the rows that pass _window_screen, which cannot turn away a row that
-    decides (see the module docstring).  The kept window comes from the
-    exact test of a run's last row.
+    decides (see the module docstring); on more it sees every row.  The
+    kept window comes from the exact test of a run's last row.
 
     The block buffers are views of ``workspace``, a 1-D float64 array of
     at least runs * _workspace_cells cells that the step writes before it
@@ -599,7 +566,7 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
         raise ValueError(f"workspace holds {workspace.size} cells, a step of {runs} runs "
                          f"over {m} candidates needs {sum(sizes)}")
     posterior_buf, below_buf, above_buf = np.split(workspace[:sum(sizes)], np.cumsum(sizes)[:2])
-    screened = _screen_blocks(m) > 0
+    screened = m <= _DIRECT_MAX
     # Per run, in run order: what the step returns.
     counts = np.zeros(runs, dtype=int)
     cap_hits = np.zeros(runs, dtype=bool)
@@ -621,11 +588,7 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
         np.multiply((a1 - a0)[:, :, None], probs[:, None], out=posterior)
         posterior += a0[:, :, None]
         posterior[:, 0] *= weights
-        if m >= _ROW_PRODUCT_MIN:
-            for row in range(1, depth):
-                np.multiply(posterior[:, row], posterior[:, row - 1], out=posterior[:, row])
-        else:
-            np.cumprod(posterior, axis=1, out=posterior)
+        np.cumprod(posterior, axis=1, out=posterior)
         below = below_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
         above = above_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
         if screened:

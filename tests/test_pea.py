@@ -387,16 +387,16 @@ def _oracle_case(n_qubits, decohere, sigma, grid_size, cap, seed):
     (3, True, 1.0, 64, 10_000, 6),
     (3, False, 1.0, 16, 10_000, 7),
     (2, True, 1.0, 64, 100, 8),      # the cap ends the second block early
-    (1, False, 1.0, None, 40, 9),    # screened grids: a block ends at the cap on an untested row
-    (1, False, 1.0, 3000, 10_000, 10),  # wide but not in 64 blocks: the exact test on every row
+    (1, False, 1.0, None, 40, 9),    # capped steps: 6144 to 48 exact, 24 screened
+    (1, False, 1.0, 3000, 10_000, 10),  # 3000, 1500 and 750: the exact test on every row
     (3, True, 0.5, None, 300, 11),   # the cap ends the third block of the m <= 32 steps
-    (1, True, 1.0, 1152, 10_000, 12),  # 64 blocks of 18 candidates, last windows over 18
+    (1, True, 1.0, 1152, 10_000, 12),  # 1152 to 36 exact, 18 screened: windows over 9
 ])
 def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size, cap, seed):
     # Grids a run steps on point by point go through run_single.  A run
     # steps on the wide grids in cells, so run_step halves them here, grid
-    # point by grid point: the block screen and the row product of the
-    # wide steps stay under the oracle.
+    # point by grid point: the exact window test on every row of sets
+    # wider than a run steps on stays under the oracle.
     config, evaluator, grid, true_flux = _oracle_case(n_qubits, decohere, sigma, grid_size,
                                                       cap, seed)
     rng = np.random.default_rng(seed)
@@ -492,7 +492,7 @@ def _same_record(rec, ref):
     (2, True, 1.0, 6, 64, 300),         # 64 grid points, then m <= 32, some runs capped
     (1, False, 1.0, 9, None, 40),       # the cap ends the first block
     (3, True, 0.5, 9, None, 300),
-    (1, False, 1.0, 3, None, 10_000),   # 1536 cells: block screen and row product
+    (1, False, 1.0, 3, None, 10_000),   # 1536 cells: the exact test on every row
     (1, True, 0.05, 3, None, 20),       # blocks of 21 readouts: the cap ends the first
     (1, True, 1.0, 3, 3000, 10_000),    # 750 cells: the exact test on every row
 ])
@@ -556,18 +556,20 @@ def test_run_step_degenerate_readout(monkeypatch):
 def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
     # the screen spares most rows the window test, never the degeneracy
     # check: the readout that underflows in the sequential update raises
-    config = PeaConfig(n_qubits=1, decoherence_enabled=False)
+    config = PeaConfig(n_qubits=1, grid_size=32, n_steps=5, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
-    assert len(grid) >= pea._SCREEN_MIN and len(grid) % pea._SCREEN_BLOCKS == 0
+    assert len(grid) <= pea._DIRECT_MAX
     evaluator = _evaluator(1)
-    values = [0.3, 0.8, 0.1, 0.9, 0.2, 0.7, 0.6, 40.0] + [0.5] * 60
+    # 0.5 is as likely from either level: it leaves the posterior as it is
+    values = [0.3, 0.8, 0.1, 0.9, 0.2, 0.7, 0.6] + [0.5] * 60 + [40.0] + [0.5] * 124
+    bad = values.index(40.0)
     probs = evaluator.probability_excited(grid.fluxes, *choose_delay(grid, evaluator))
     weights = grid.weights
-    for x in values[:7]:
+    for x in values[:bad]:
         weights = posterior_update(weights, probs, x, config)
         assert not _window_test(weights, len(grid) // 2, config.epsilon)[0]
     with pytest.raises(DegenerateLikelihoodError):
-        posterior_update(weights, probs, values[7], config)
+        posterior_update(weights, probs, values[bad], config)
     stream = iter(values)
     drawn = []
 
@@ -578,15 +580,15 @@ def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
     monkeypatch.setattr("fluxsense.pea.sample_measurements", sample)
     with pytest.raises(DegenerateLikelihoodError):
         run_step(grid, float(grid.fluxes[4]), evaluator, config, np.random.default_rng(0))
-    # blocks of 5 readouts at 6144 candidates: it raised in the second
-    assert len(drawn) == 10
+    # blocks of 64 and 128 readouts at 32 candidates: it raised in the second
+    assert len(drawn) == 192
 
 
 def _screen_and_exact(rows, epsilon):
     """The screen's verdict and the exact window test's, for each row."""
     k, half = rows.shape[0], rows.shape[1] // 2
     below, above = np.zeros((k, half + 1)), np.zeros((k, half + 1))
-    passed, total = pea._window_screen(rows, epsilon, below, above)
+    passed, total = pea._window_screen(rows, epsilon, below)
     decided, _, exact_total = pea._window_test(rows, epsilon, below, above)
     assert total == pytest.approx(exact_total, rel=1e-12)
     return passed, decided
@@ -608,45 +610,34 @@ def _deciding_at_threshold(inside, outside, epsilon):
     return inside + lo * outside
 
 
-# Every size the standard sensors screen, and sizes they do not reach:
-# blocks of an odd width (576 = 64 x 9, 1088 = 64 x 17), windows over 6
-# candidates.
-@pytest.mark.parametrize("m", [2, 4, 6, 8, 16, 24, 32, 256, 384, 512, 576, 768, 1024, 1088,
-                               1536, 2048, 3072, 6144])
+# Every size the standard sensors screen, and m = 2, 4 and 6, which they
+# do not reach (windows of one to three candidates).
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16, 24, 32])
 @pytest.mark.parametrize("epsilon", [1e-4, 0.25])
 def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
-    assert pea._screen_blocks(m), "not a screened size"
+    assert m <= pea._DIRECT_MAX, "not a screened size"
     rng = np.random.default_rng(m)
-    half, width = m // 2, m // pea._screen_blocks(m)
+    half = m // 2
     cells = np.arange(m)
-    edges = (cells % width == 0) | (cells % width == width - 1)
     inside, outside = [], []
 
     def add(s, profiles, rests):
         window = (cells >= s) & (cells < s + half)
-        # outside mass more than a block from the window: a window on block
-        # edges then holds all of its heaviest run of blocks
-        far = (cells < s - width) | (cells >= s + half + width)
         ends = np.zeros(m)
         ends[[s, s + half - 1]] = 1.0
         for profile in profiles(window, ends):
-            for rest in rests(window, far):
+            for rest in rests(window):
                 if rest.sum() > 0:
                     inside.append(profile / profile.sum())
                     outside.append(rest / rest.sum())
 
-    # heaviest windows on, next to and between block edges, and at the ends
-    starts = {0, 1, width - 1, width, width + 1, width // 2, half - 1, half,
-              int(rng.integers(half + 1))}
-    for s in sorted(starts & set(range(half + 1))):
-        add(s, lambda window, ends: (ends, window * 1.0, window * edges,
-                                     window * rng.random(m)),
-            lambda window, far: (~window * 1.0, ~window * edges, ~window * rng.random(m),
-                                 far * 1.0))
-    # a window that only one column of the screen holds, for every column:
-    # window s itself, or the run of blocks from the block of s
-    for s in range(min(1, width - 1), half + 1, width):
-        add(s, lambda window, ends: (ends,), lambda window, far: (~window * 1.0, far * 1.0))
+    # heaviest windows at and next to the ends, and one at random
+    for s in sorted({0, 1, half - 1, half, int(rng.integers(half + 1))}):
+        add(s, lambda window, ends: (ends, window * 1.0, window * rng.random(m)),
+            lambda window: (~window * 1.0, ~window * rng.random(m)))
+    # every window, which only its own column of the screen holds
+    for s in range(half + 1):
+        add(s, lambda window, ends: (ends,), lambda window: (~window * 1.0,))
     at_threshold = _deciding_at_threshold(np.array(inside), np.array(outside), epsilon)
     centres = rng.uniform(0, m, 24)[:, None]
     widths = rng.choice([m / 60, m / 30, m / 12, m / 6], 24)[:, None]

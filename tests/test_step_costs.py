@@ -1,0 +1,38 @@
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+from fluxsense import pea
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "step_costs.py"
+
+
+def _load_script(monkeypatch):
+    # the script sets the BLAS thread counts it finds unset; undone after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("step_costs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_step_costs_exact_turns_the_window_screen_off(monkeypatch, capsys, exact):
+    script = _load_script(monkeypatch)
+    monkeypatch.setattr(script, "BENCHMARK", {"pea-coherent": script.BENCHMARK["pea-coherent"]})
+    monkeypatch.setattr(pea, "_DIRECT_MAX", pea._DIRECT_MAX)  # restored if --exact changes it
+    calls, screen = [], pea._window_screen
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return screen(*args)
+
+    monkeypatch.setattr(pea, "_window_screen", counted)
+    monkeypatch.setattr("sys.argv", ["step_costs.py", "--repeats", "1"] + ["--exact"] * exact)
+    script.main()
+    out = capsys.readouterr().out
+    assert out.startswith("pea-coherent: ")
+    assert (len(calls) == 0) == exact
