@@ -648,7 +648,7 @@ TRACE_COLUMNS = (
     ("estimates", float, "estimate_phi0"),  # posterior-mean flux after the step, Phi_0
     ("cumulative_time", float, "cumulative_time_s"),  # sum of tau_i n_i up to the step, s
     ("cap_hits", bool, "cap_hit"),
-    ("retained", bool, None),  # a survivor lies within half a spacing of the truth
+    ("retained", bool, None),  # the truth's grid point lies in a kept cell
 )
 TRACE = np.dtype([column[:2] for column in TRACE_COLUMNS])
 # pea_steps.csv after its step column: each header and the attribute it writes.
@@ -740,49 +740,18 @@ def _pair_rng(master_seed: int, target_index: int, repetition: int) -> np.random
     return np.random.default_rng(np.random.SeedSequence((master_seed, target_index, repetition)))
 
 
-# Target placement. Targets sit a minimum fraction of the interval width
-# away from the centre of every dyadic interval they can occupy, on all
-# three sensor grids (a larger relative margin on small intervals).  A
-# lower-or-upper-half rule stalled on targets at a centre; the window
-# rule of run_step does not, and these targets are kept only so that
-# campaigns stay comparable until they become a plain stride.
-_FULL_CAMPAIGN_STRIDE = 8
-_FULL_CAMPAIGN_OFFSET = 5  # best centre clearance of the 8 possible phases
-_MARGIN_WIDE = 1.0 / 24.0
-_MARGIN_TIGHT = 1.0 / 12.0
-_MARGIN_KNEE = 256
-
-
-def _centre_clear_indices(n_steps: int) -> np.ndarray:
-    """Target-grid indices at least a margin away from every interval centre."""
-    index = np.arange(TARGET_GRID_SIZE)
-    clear = np.ones(TARGET_GRID_SIZE, dtype=bool)
-    for size in GRID_SIZES.values():
-        for level in range(n_steps):
-            interval = size >> level
-            if interval < 2:
-                break
-            margin = _MARGIN_WIDE if interval >= _MARGIN_KNEE else _MARGIN_TIGHT
-            clear &= np.abs(index % interval - interval / 2.0) >= interval * margin
-    return np.flatnonzero(clear)
-
-
 def campaign_targets(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> np.ndarray:
-    """Target fluxes: a thinning of the N=3 candidate grid.
+    """Target fluxes: one grid point of the N=3 grid at the middle of each
+    target's equal share of it.
 
-    Every sensor can represent these targets exactly because the three
-    standard grids share their spacing.  Campaigns with a target on at
-    least every 8th grid point, or with more targets than centre-clear
-    indices, take every stride-th grid point; the others thin the
-    centre-clear index set evenly (see _centre_clear_indices).
+    With stride = TARGET_GRID_SIZE // n_flux_targets, target j lies at
+    grid index stride * j + stride // 2, whatever n_qubits and n_steps.
+    The three standard grids share their spacing, so every standard
+    sensor can represent these targets exactly; a custom grid_size
+    (16, say) has another spacing, and they need not be its grid points.
     """
-    n = config.n_flux_targets
-    stride = TARGET_GRID_SIZE // n
-    clear = _centre_clear_indices(config.n_steps)
-    if stride > _FULL_CAMPAIGN_STRIDE and clear.size >= n:
-        indices = clear[((2 * np.arange(n) + 1) * clear.size) // (2 * n)]
-    else:
-        indices = np.arange(min(_FULL_CAMPAIGN_OFFSET, stride - 1), TARGET_GRID_SIZE, stride)
+    stride = TARGET_GRID_SIZE // config.n_flux_targets
+    indices = stride * np.arange(config.n_flux_targets) + stride // 2
     spacing = dynamic_range(design, bias, config.tau_min) / GRID_SIZES[1]
     return spacing * indices
 

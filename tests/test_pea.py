@@ -942,15 +942,16 @@ def test_full_targets_take_every_eighth_point():
     config = PeaConfig(n_qubits=3)  # defaults are the full-scale campaign
     targets = campaign_targets(DESIGN, BIAS, config)
     grid = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=3))
-    assert np.array_equal(targets, grid.fluxes[5::8])
+    assert np.array_equal(targets, grid.fluxes[4::8])
 
 
 def test_targets_for_every_valid_campaign_shape():
     # Each target count PeaConfig accepts gets that many targets on the
-    # shared grid, also where fewer indices clear every interval centre
+    # shared grid, each at the middle of its share of the grid, the same
+    # for every sensor and step count
     spacing = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=3)).spacing
     shapes = itertools.product(GRID_SIZES, [1 << p for p in range(12)], range(1, 13))
-    checked = 0
+    checked, seen = 0, {}
     for n_qubits, n_targets, n_steps in shapes:
         try:
             config = PeaConfig(n_qubits=n_qubits, n_flux_targets=n_targets, n_steps=n_steps)
@@ -958,10 +959,11 @@ def test_targets_for_every_valid_campaign_shape():
             continue
         targets = campaign_targets(DESIGN, BIAS, config)
         assert targets.shape == (n_targets,)
-        assert np.all(np.diff(targets) > 0)
         indices = np.rint(targets / spacing)
         assert np.allclose(indices * spacing, targets, rtol=0, atol=1e-9 * spacing)
-        assert indices[0] >= 0 and indices[-1] <= 2047
+        stride = 2048 // n_targets
+        assert np.array_equal(indices, stride * np.arange(n_targets) + stride // 2)
+        assert np.array_equal(targets, seen.setdefault(n_targets, targets))
         checked += 1
     assert checked == 12 * (11 + 10 + 11)
 
