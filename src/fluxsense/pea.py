@@ -26,16 +26,15 @@ sensors run steps 1-8 (N = 1) and 1-7 (N = 2) on 48 cells and steps 1-6
 
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
-On sets of at most _DIRECT_MAX candidates a screen of one matrix
-product, whose columns are the windows of half the candidates, picks
-the rows of a block that may decide: no weight is negative, so a row
-none of whose windows holds 1 - epsilon of its mass cannot decide.  The
-exact window test runs only on the rows that pass, and its result on
-the deciding row gives the kept window, so the deciding readout and the
-kept window are the same as without the screen.  Wider sets run the
-exact test on every row.  The candidates carry their detunings, computed
-once for each set of cells, and the survivors of a step their slice of
-them.
+A row decides when some window of half the candidates leaves at most
+epsilon of its mass outside.  On sets of at most _DIRECT_MAX candidates
+that outside mass is one matrix product, whose rows mark the
+candidates outside each window: the same sums of non-negative weights
+as the prefix sums of the window test, added in another order.  Wider
+sets take the prefix sums on every row.  Either way the kept window
+comes from the prefix sums of a run's last row.  The candidates carry
+their detunings, computed once for each set of cells, and the survivors
+of a step their slice of them.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -53,7 +52,7 @@ every step, so one [runs, readouts, candidates] array holds a block of
 each run still measuring, and one set of numpy calls serves them all.
 Each run draws its own blocks from its own stream, and its arithmetic is
 that of the run alone, so its records do not depend on its companions
-(see _screened_decisions).  run_step and run_single are the chunk of one
+(see _product_decisions).  run_step and run_single are the chunk of one
 run.
 """
 
@@ -335,25 +334,22 @@ _FIRST_BLOCK = 64
 # (~5e5 nats at sigma0 = sigma1 = 1e-3), each block keeps one readout and
 # discards the rest: still exact, but one set of numpy calls a readout.
 _BLOCK_NATS = 600.0
-# Window screen (see _step_chunk): sets of at most _DIRECT_MAX candidates
-# are screened window by window, wider ones not at all.  At m = 48 the
-# screen cost as much as it spared, and from m = 64 on OpenBLAS splits the
-# window product over threads, slower on two cores.  The relative slack is
-# far above the rounding of the products (~m * 2^-53 of the row's mass).
+# Sets of at most _DIRECT_MAX candidates decide by one product a run (see
+# _product_decisions), wider ones by the prefix sums of _window_test.  At
+# m = 48 the product cost as much as it spared, and from m = 64 on OpenBLAS
+# splits it over threads, slower on two cores.
 _DIRECT_MAX = 32
-_SCREEN_SLACK = 1e-9
 
 
 @functools.lru_cache(maxsize=64)
-def _screen_matrix(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The screen's matrix over m candidates and a column of m ones.
+def _outside_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A row per window of half of m candidates and a column of m ones.
 
-    Column s of the matrix is the indicator of the window [s, s + m/2),
-    less (1 - _SCREEN_SLACK)(1 - epsilon).
+    Row s is the indicator of the candidates outside the window [s, s + m/2).
     """
     half = m // 2
-    cell, start = np.arange(m)[:, None], np.arange(half + 1)
-    matrix = ((cell >= start) & (cell < start + half)) - (1.0 - _SCREEN_SLACK) * (1.0 - epsilon)
+    start, cell = np.arange(half + 1)[:, None], np.arange(m)
+    matrix = ((cell < start) | (cell >= start + half)) * 1.0
     ones = np.ones(m)
     matrix.flags.writeable = ones.flags.writeable = False
     return matrix, ones
@@ -380,7 +376,7 @@ def _level_likelihoods(draws: list[np.ndarray], config: PeaConfig):
 
 def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
                  above: np.ndarray):
-    """The exact window test of each row of ``posterior`` (each [..., m] row).
+    """The prefix-sum window test of each row of ``posterior`` (each [..., m] row).
 
     Returns whether the heaviest window of half the candidates holds
     1 - epsilon of the row's mass, the mass outside each window
@@ -399,24 +395,6 @@ def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     total = below[..., half] + above[..., half]
     outside = np.add(below, above[..., ::-1], out=below)
     return outside.min(axis=-1) <= epsilon * total, outside, total
-
-
-def _window_screen(posterior: np.ndarray, epsilon: float, below: np.ndarray):
-    """Rows of ``posterior`` that the exact window test may accept, and their mass.
-
-    A row passes when some column of its product with _screen_matrix is
-    not negative.  The product is written transposed, a row per window,
-    so that its maximum per readout row is elementwise across a few long
-    rows: a reduction along each of many short rows costs far more.  It
-    is written over the window test's buffer ``below``, which it fits.
-    The masses are a BLAS product with a column of ones too: a numpy sum
-    along rows a few dozen cells wide costs twice as much or more.
-    """
-    k, m = posterior.shape
-    matrix, ones = _screen_matrix(m, epsilon)
-    margin = below.reshape(-1)[:matrix.shape[1] * k].reshape(-1, k)
-    np.matmul(matrix.T, posterior.T, out=margin)
-    return margin.max(axis=0) >= 0.0, posterior @ ones
 
 
 def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -471,7 +449,7 @@ def _workspace(cells: int) -> np.ndarray:
 
 def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvaluator,
              config: PeaConfig, rng: np.random.Generator,
-             record_readouts: bool = False, workspace: np.ndarray | None = None) -> StepRecord:
+             record_readouts: bool = False) -> StepRecord:
     """Measure until a window of half the candidates holds 1 - epsilon of the mass.
 
     The contiguous window of m/2 candidates with the most posterior mass
@@ -479,40 +457,42 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     step ends after the first readout at which it holds 1 - epsilon.
     Hitting the measurement cap is recorded, not fatal.  This is
     _step_chunk for a chunk of one run.
-
-    The block buffers are views of ``workspace``, a 1-D float64 array
-    of at least _workspace_cells cells that the step writes before it
-    reads; without one the step allocates its own.
     """
     chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing,
                          candidates.detunings[None])
     return _step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
-                       record_readouts, workspace).run(0)
+                       record_readouts).run(0)
 
 
-def _screened_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
-                        below: np.ndarray, above: np.ndarray):
+def _product_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
+                       below: np.ndarray):
     """Deciding rows and row masses of a block of at most _DIRECT_MAX
     candidates, run by run: [runs, rows] arrays, the masses 1 past a
     run's ``k`` rows.
 
-    The exact test sees the rows from the first to the last that the
-    screen passes; only passed rows may decide.  Each run is screened
-    over its own k rows, as if stepped alone: BLAS sums a row in an order
-    that depends on the height of the matrix, so a product over the
-    chunk would move the last bits of a run's masses with its companions.
-    ``below`` and ``above`` are [rows, half + 1] buffers.
+    A row decides when the least mass outside a window, the minimum of
+    its column of the product of _outside_matrix with the block's
+    transpose, is at most epsilon of its mass.  The product, a row per
+    window, is written over the window test's buffer ``below`` ([rows,
+    half + 1]), which it fits, and its minimum per readout row is
+    elementwise across a few long rows: a reduction along each of many
+    short rows costs far more.  The masses
+    are a BLAS product with a column of ones too: a numpy sum along rows
+    a few dozen cells wide costs twice as much or more.  Each run is
+    multiplied over its own k rows, as if stepped alone: BLAS sums a row
+    in an order that depends on the height of the matrix, so a product
+    over the chunk would move the last bits of a run's masses with its
+    companions.
     """
+    matrix, ones = _outside_matrix(posterior.shape[-1])
     decided = np.zeros(posterior.shape[:2], dtype=bool)
     total = np.ones(posterior.shape[:2])
     for run, rows in enumerate(k):
         block = posterior[run, :rows]
-        passed, total[run, :rows] = _window_screen(block, epsilon, below)
-        tested = np.flatnonzero(passed)
-        if tested.size:
-            first, last = tested[0], tested[-1] + 1
-            exact = _window_test(block[first:last], epsilon, below, above)[0]
-            decided[run, first:last] = exact & passed[first:last]
+        outside = below.reshape(-1)[:len(matrix) * rows].reshape(-1, rows)
+        np.matmul(matrix, block.T, out=outside)
+        total[run, :rows] = block @ ones
+        decided[run, :rows] = outside.min(axis=0) <= epsilon * total[run, :rows]
     return decided, total
 
 
@@ -532,14 +512,14 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
     run's rows past its own are ignored.  The arithmetic of each run is
     that of the run alone, so its readouts, decisions and survivors do
     not depend on its companions: the window test and the products act
-    row by row, and the screen sums each run's rows on its own (see
-    _screened_decisions).  A run that decides or hits the cap leaves the
-    blocks.
+    row by row, and the window products sum each run's rows on its own
+    (see _product_decisions).  A run that decides or hits the cap leaves
+    the blocks.
 
-    On at most _DIRECT_MAX candidates the exact window test sees only
-    the rows that pass _window_screen, which cannot turn away a row that
-    decides (see the module docstring); on more it sees every row.  The
-    kept window comes from the exact test of a run's last row.
+    On at most _DIRECT_MAX candidates a row decides by its product with
+    _outside_matrix alone, in one pass; on more by the prefix sums of
+    _window_test.  The kept window comes from the prefix sums of a run's
+    last row.
 
     The block buffers are views of ``workspace``, a 1-D float64 array of
     at least runs * _workspace_cells cells that the step writes before it
@@ -566,7 +546,7 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
         raise ValueError(f"workspace holds {workspace.size} cells, a step of {runs} runs "
                          f"over {m} candidates needs {sum(sizes)}")
     posterior_buf, below_buf, above_buf = np.split(workspace[:sum(sizes)], np.cumsum(sizes)[:2])
-    screened = m <= _DIRECT_MAX
+    direct = m <= _DIRECT_MAX
     # Per run, in run order: what the step returns.
     counts = np.zeros(runs, dtype=int)
     cap_hits = np.zeros(runs, dtype=bool)
@@ -591,8 +571,8 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
         np.cumprod(posterior, axis=1, out=posterior)
         below = below_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
         above = above_buf[:a1.size * (half + 1)].reshape(-1, half + 1)
-        if screened:
-            decided, total = _screened_decisions(posterior, k, epsilon, below, above)
+        if direct:
+            decided, total = _product_decisions(posterior, k, epsilon, below)
         else:
             decided, _, total = _window_test(posterior, epsilon, below.reshape(*a1.shape, -1),
                                              above.reshape(*a1.shape, -1))
@@ -614,7 +594,7 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
                 readouts[run].extend(draws[lane][:r[lane] + 1].tolist())
         ends = decided[lanes, r] | (counts[active] >= cap)
         if ends.any():
-            # The kept window of each run that ends, from the exact test of its last row.
+            # The kept window of each run that ends, from the prefix sums of its last row.
             done, final = active[ends], posterior[lanes[ends], r[ends]]
             start = _window_test(final, epsilon, below, above)[1].argmin(axis=1)
             window = np.take_along_axis(final, start[:, None] + np.arange(half), axis=1)

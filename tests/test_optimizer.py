@@ -245,15 +245,28 @@ def test_find_optimal_flux_boundary_case():
     assert point.phi_star < 0.5
 
 
-def test_runtime_imports_no_scipy():
+def _fresh_output(code):
+    """What ``code`` prints in a fresh interpreter that imports this fluxsense."""
     src = os.path.dirname(os.path.dirname(fluxsense.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, fluxsense; fluxsense.find_optimal_flux(fluxsense.SensorDesign()); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, fluxsense; fluxsense.find_optimal_flux(fluxsense.SensorDesign()); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_output(code) == "[]"
+
+
+def test_import_and_parse_load_no_campaign_modules():
+    # the start-up every command pays: campaigns import mmap (the chunk
+    # workspace) and concurrent.futures (the process pool) when they run
+    code = ("import sys, fluxsense; fluxsense.parse_config(''); "
+            "print(sorted(m for m in ('mmap', 'concurrent.futures') if m in sys.modules))")
+    assert _fresh_output(code) == "[]"
 
 
 def test_step_budget():

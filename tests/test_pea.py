@@ -554,8 +554,9 @@ def test_run_step_degenerate_readout(monkeypatch):
 
 
 def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
-    # the screen spares most rows the window test, never the degeneracy
-    # check: the readout that underflows in the sequential update raises
+    # the window product decides these rows without the prefix sums, and
+    # the degeneracy check still sees them: the readout that underflows in
+    # the sequential update raises
     config = PeaConfig(n_qubits=1, grid_size=32, n_steps=5, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
     assert len(grid) <= pea._DIRECT_MAX
@@ -584,42 +585,18 @@ def test_run_step_degenerate_readout_on_screened_grid(monkeypatch):
     assert len(drawn) == 192
 
 
-def _screen_and_exact(rows, epsilon):
-    """The screen's verdict and the exact window test's, for each row."""
-    k, half = rows.shape[0], rows.shape[1] // 2
-    below, above = np.zeros((k, half + 1)), np.zeros((k, half + 1))
-    passed, total = pea._window_screen(rows, epsilon, below)
-    decided, _, exact_total = pea._window_test(rows, epsilon, below, above)
-    assert total == pytest.approx(exact_total, rel=1e-12)
-    return passed, decided
-
-
-def _deciding_at_threshold(inside, outside, epsilon):
-    """inside + c * outside with the largest c that the exact window test accepts.
-
-    ``inside`` holds each row's heaviest window, ``outside`` the rest, both
-    normalised; the rows decide at 1 - epsilon to the last bit.
-    """
-    lo = np.zeros((len(inside), 1))
-    hi = np.full_like(lo, 2.0 * epsilon / (1.0 - epsilon))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        _, decided = _screen_and_exact(inside + mid * outside, epsilon)
-        lo = np.where(decided[:, None], mid, lo)
-        hi = np.where(decided[:, None], hi, mid)
-    return inside + lo * outside
-
-
-# Every size the standard sensors screen, and m = 2, 4 and 6, which they
-# do not reach (windows of one to three candidates).
+# Every size the standard sensors step on directly, and m = 2, 4 and 6,
+# which they do not reach (windows of one to three candidates).
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16, 24, 32])
 @pytest.mark.parametrize("epsilon", [1e-4, 0.25])
 def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
-    assert m <= pea._DIRECT_MAX, "not a screened size"
+    # the window product, the one-pass test of the narrow sets, decides as
+    # the prefix sums do on every row not within rounding of the threshold
+    assert m <= pea._DIRECT_MAX, "not a size that decides by the product"
     rng = np.random.default_rng(m)
     half = m // 2
     cells = np.arange(m)
-    inside, outside = [], []
+    rows = []
 
     def add(s, profiles, rests):
         window = (cells >= s) & (cells < s + half)
@@ -628,26 +605,42 @@ def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
         for profile in profiles(window, ends):
             for rest in rests(window):
                 if rest.sum() > 0:
-                    inside.append(profile / profile.sum())
-                    outside.append(rest / rest.sum())
+                    # the rest just below, at and just above epsilon of the row's mass
+                    for share in epsilon * np.array([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]):
+                        rows.append((1 - share) * profile / profile.sum()
+                                    + share * rest / rest.sum())
 
     # heaviest windows at and next to the ends, and one at random
     for s in sorted({0, 1, half - 1, half, int(rng.integers(half + 1))}):
         add(s, lambda window, ends: (ends, window * 1.0, window * rng.random(m)),
             lambda window: (~window * 1.0, ~window * rng.random(m)))
-    # every window, which only its own column of the screen holds
+    # every window, which only its own row of the product holds
     for s in range(half + 1):
         add(s, lambda window, ends: (ends,), lambda window: (~window * 1.0,))
-    at_threshold = _deciding_at_threshold(np.array(inside), np.array(outside), epsilon)
     centres = rng.uniform(0, m, 24)[:, None]
     widths = rng.choice([m / 60, m / 30, m / 12, m / 6], 24)[:, None]
     bumps = np.exp(-0.5 * ((cells - centres) / widths) ** 2)
     spiky = rng.random((24, m)) ** rng.integers(1, 400, (24, 1))
-    rows = np.vstack([at_threshold, bumps, spiky, np.ones((1, m))])
-    passed, decided = _screen_and_exact(rows, epsilon)
-    assert decided[:len(at_threshold)].all()
-    assert not passed[-1], "a flat row passed the screen"
-    assert passed[decided].all(), "the screen rejected a deciding row"
+    rows = np.vstack([rows, bumps, spiky, np.ones((1, m))])
+    below = np.zeros((len(rows), half + 1))
+    (decided,), (total,) = pea._product_decisions(rows[None], [len(rows)], epsilon, below)
+    mass = rows.sum(axis=1)
+    assert total == pytest.approx(mass, rel=1e-12)
+    prefix = np.array([_window_test(row, half, epsilon)[0] for row in rows])
+    outside = np.array([[np.delete(row, np.arange(s, s + half)).sum() for s in range(half + 1)]
+                        for row in rows]).min(axis=1)
+    clear = np.abs(outside - epsilon * mass) > 1e-12 * mass
+    assert np.array_equal(decided[clear], prefix[clear]), "the product and the prefix sums differ"
+    assert prefix[clear].sum() > 10 and (~prefix[clear]).sum() > 10
+    assert not decided[-1], "a flat row decided"
+
+
+def _step_alone(candidates, true_flux, evaluator, config, rng, **options):
+    """run_step's chunk of one run, stepped with _step_chunk's ``options``."""
+    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing,
+                         candidates.detunings[None])
+    return pea._step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
+                           **options).run(0)
 
 
 def test_reused_workspace_matches_fresh_buffers():
@@ -670,10 +663,10 @@ def test_reused_workspace_matches_fresh_buffers():
         reused_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reused = fresh = grid
         for _ in range(config.n_steps):
-            rec = run_step(reused, true_flux, evaluator, config, reused_rng,
-                           record_readouts=True, workspace=workspace)
-            ref = run_step(fresh, true_flux, evaluator, config, fresh_rng,
-                           record_readouts=True, workspace=np.zeros(workspace.size))
+            rec = _step_alone(reused, true_flux, evaluator, config, reused_rng,
+                              record_readouts=True, workspace=workspace)
+            ref = _step_alone(fresh, true_flux, evaluator, config, fresh_rng,
+                              record_readouts=True, workspace=np.zeros(workspace.size))
             pairs.append((rec, ref))
             reused, fresh = rec.survivors, ref.survivors
     for rec, ref in pairs:
@@ -684,11 +677,11 @@ def test_reused_workspace_matches_fresh_buffers():
     assert any(rec.cap_hit for rec, _ in pairs), "no capped step"
     assert not np.isnan(workspace).all(), "the steps did not use the workspace"
     with pytest.raises(ValueError, match="workspace"):
-        run_step(grid, true_flux, evaluator, config, np.random.default_rng(0),
-                 workspace=np.empty(10))
+        _step_alone(grid, true_flux, evaluator, config, np.random.default_rng(0),
+                    workspace=np.empty(10))
 
 
-# Peak traced memory of one warm run_step with a run's workspace, on the
+# Peak traced memory of one warm step of a run with its workspace, on the
 # grid's detunings as in a run: 181 KiB at most on every step of the
 # standard decohered runs (m = 6144 down to 8), so the bound has 2x
 # headroom.  A step that allocates its own block buffers peaks at
@@ -712,12 +705,13 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
     true_flux = float(grid.fluxes[901 % len(grid)])
     workspace = np.empty(pea._workspace_cells(config))
     rng = np.random.default_rng(n_qubits)
-    run_step(grid, true_flux, evaluator, config, rng, workspace=workspace)  # warm
+    _step_alone(grid, true_flux, evaluator, config, rng, workspace=workspace)  # warm
     candidates, peaks = grid, {}
     for _ in range(config.n_steps):
         tracemalloc.start()
         try:
-            rec = run_step(candidates, true_flux, evaluator, config, rng, workspace=workspace)
+            rec = _step_alone(candidates, true_flux, evaluator, config, rng,
+                              workspace=workspace)
             peaks[len(candidates)] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,13 +24,13 @@ def test_step_costs_exact_turns_the_window_screen_off(monkeypatch, capsys, exact
     script = _load_script(monkeypatch)
     monkeypatch.setattr(script, "BENCHMARK", {"pea-coherent": script.BENCHMARK["pea-coherent"]})
     monkeypatch.setattr(pea, "_DIRECT_MAX", pea._DIRECT_MAX)  # restored if --exact changes it
-    calls, screen = [], pea._window_screen
+    calls, product = [], pea._product_decisions
 
     def counted(*args):
         calls.append(args[0].shape)
-        return screen(*args)
+        return product(*args)
 
-    monkeypatch.setattr(pea, "_window_screen", counted)
+    monkeypatch.setattr(pea, "_product_decisions", counted)
     monkeypatch.setattr("sys.argv", ["step_costs.py", "--repeats", "1"] + ["--exact"] * exact)
     script.main()
     out = capsys.readouterr().out
