@@ -13,10 +13,7 @@ share of the campaigns' wall time, the measurements of the step summed
 over every run, and the microseconds per measurement.  By default it
 runs the campaigns of the two PEA benchmark workloads
 (perfbench/workloads.py); ``--desk`` adds the desk campaigns of the
-command line (32 targets x 8 repetitions).  ``--exact`` sets
-``pea._DIRECT_MAX`` to 0: every step then decides by the prefix sums of
-the window test, the steps on at most 32 cells too, and none by the one
-window product a block.
+command line (32 targets x 8 repetitions).
 
     PYTHONPATH=src python3 scripts/step_costs.py --repeats 4
 
@@ -93,11 +90,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=4,
                         help="campaigns of each kind, at master seeds 1..repeats")
     parser.add_argument("--desk", action="store_true", help="also run the desk campaigns")
-    parser.add_argument("--exact", action="store_true",
-                        help="the prefix-sum window test on every step, no window product")
     args = parser.parse_args()
-    if args.exact:
-        pea._DIRECT_MAX = 0
     campaigns = {**BENCHMARK, **(DESK if args.desk else {})}
     for name, settings in campaigns.items():
         wall, by_step = step_costs(settings, args.repeats)

@@ -14,15 +14,15 @@ scaling) until decoherence caps the useful delay.
 
 Early steps need no fine grid, so a step whose interval holds more than
 _MAX_CELLS grid points runs on cells of 2^j adjacent grid points
-(_cell_widths), a candidate set that refines as it halves.  A cell's
-flux is its first grid point and its spacing its width, so the
-interval, and with it the delay and phase, is that of the grid points
-it covers; the fringe is evaluated at the cell's centre.  The kept
-window is half the cells.  Before the next step each kept cell splits
-into its two halves, each with half its weight, so j drops by one a
-step and the last steps run on single grid points.  The standard
-sensors run steps 1-8 (N = 1) and 1-7 (N = 2) on 48 cells and steps 1-6
-(N = 3) on 64.
+(_cell_widths), a candidate set that refines as it halves.  Every
+candidate, a grid point or a cell, is the centre of the flux range it
+covers, and its spacing is the width of that range, so one flux serves
+the interval, the delay and phase, the fringe, the estimate and the
+truth's retention.  The kept window is half the cells.  Before the
+next step each kept cell splits into its two halves, each with half its
+weight, so j drops by one a step and the last steps run on single grid
+points.  The standard sensors run steps 1-8 (N = 1) and 1-7 (N = 2) on
+48 cells and steps 1-6 (N = 3) on 64.
 
 A step draws its readouts in blocks and updates the posterior after
 every readout of a block at once, as a [readouts, candidates] array.
@@ -32,9 +32,7 @@ that outside mass is one matrix product, whose rows mark the
 candidates outside each window: the same sums of non-negative weights
 as the prefix sums of the window test, added in another order.  Wider
 sets take the prefix sums on every row.  Either way the kept window
-comes from the prefix sums of a run's last row.  The candidates carry
-their detunings, computed once for each set of cells, and the survivors
-of a step their slice of them.
+comes from the prefix sums of a run's last row.
 
 Measurements are simulated as a two-stage process: a Bernoulli draw of
 the projective outcome with the true-flux fringe probability, followed
@@ -152,13 +150,11 @@ class CandidateSet:
     """Contiguous block of equally spaced flux candidates with weights:
     grid points, or cells of adjacent grid points (see _run_chunk).
 
-    Fluxes are external offsets from the bias point in Phi_0 units, a
-    cell's its first grid point, and ``spacing`` is a candidate's width.
-    The spacing never changes as the set is halved, so the candidate
-    interval is [fluxes[0], fluxes[-1] + spacing).  ``detunings`` holds
-    FringeEvaluator.detuning of each candidate's centre (a grid point's
-    flux), rad/s: computed once when the set is made, and sliced by
-    a step with the fluxes.
+    Fluxes are external offsets from the bias point in Phi_0 units, each
+    the centre of the flux range its candidate covers, and ``spacing`` is
+    a candidate's width.  The spacing never changes as the set is halved,
+    so the candidate interval is [fluxes[0] - spacing/2, fluxes[-1] +
+    spacing/2).
 
     The runs of a chunk (see _step_chunk) hold one set each, as one
     CandidateSet whose arrays have a row per run, of one length and one
@@ -168,16 +164,12 @@ class CandidateSet:
     fluxes: np.ndarray
     weights: np.ndarray
     spacing: float
-    detunings: np.ndarray
 
     def __post_init__(self) -> None:
         self.fluxes = np.asarray(self.fluxes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        self.detunings = np.asarray(self.detunings, dtype=float)
         if self.fluxes.shape != self.weights.shape or self.fluxes.ndim not in (1, 2):
             raise ValueError("fluxes and weights must be matching 1-D arrays, or 2-D for a chunk")
-        if self.detunings.shape != self.fluxes.shape:
-            raise ValueError("detunings must match fluxes")
         if np.any(self.weights < 0) or not np.all(abs(self.weights.sum(axis=-1) - 1.0) <= 1e-9):
             raise ValueError("weights must be a normalized distribution")
 
@@ -186,22 +178,25 @@ class CandidateSet:
         return self.fluxes.shape[-1]
 
     @classmethod
-    def uniform(cls, fluxes: np.ndarray, spacing: float, detunings: np.ndarray) -> "CandidateSet":
+    def uniform(cls, fluxes: np.ndarray, spacing: float) -> "CandidateSet":
         n = len(fluxes)
-        return cls(fluxes, np.full(n, 1.0 / n), spacing, detunings)
+        return cls(fluxes, np.full(n, 1.0 / n), spacing)
 
     @property
     def interval(self):
         """(lo, hi) of the set, floats; of each run's set of a chunk, arrays."""
-        lo, hi = self.fluxes[..., 0], self.fluxes[..., -1] + self.spacing
+        lo = self.fluxes[..., 0] - 0.5 * self.spacing
+        hi = self.fluxes[..., -1] + 0.5 * self.spacing
         return (float(lo), float(hi)) if self.fluxes.ndim == 1 else (lo, hi)
 
-    def posterior_mean(self) -> float:
-        return float(np.dot(self.weights, self.fluxes))
+    def posterior_mean(self):
+        """Posterior-mean flux of the set, a float; of each run's set of a chunk, an array."""
+        mean = np.matmul(self.weights[..., None, :], self.fluxes[..., :, None])[..., 0, 0]
+        return float(mean) if self.fluxes.ndim == 1 else mean
 
     def run(self, i: int) -> "CandidateSet":
         """Run i's set of a chunk's."""
-        return CandidateSet(self.fluxes[i], self.weights[i], self.spacing, self.detunings[i])
+        return CandidateSet(self.fluxes[i], self.weights[i], self.spacing)
 
 
 def _grid_spacing(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> float:
@@ -209,32 +204,25 @@ def _grid_spacing(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> fl
                                                           * config.n_qubits)
 
 
-def _centres(fluxes: np.ndarray, width: float, spacing: float) -> np.ndarray:
-    """Centres of cells of ``width`` (in flux) that start at ``fluxes``: the
-    mean of their grid points, on a grid of ``spacing``."""
-    return fluxes + 0.5 * (width - spacing)
-
-
-def _cells(spacing: float, start, width: int, weights: np.ndarray, detuning) -> CandidateSet:
+def _cells(spacing: float, start, width: int, weights: np.ndarray) -> CandidateSet:
     """Adjacent cells of ``width`` grid points, one per weight, from grid index ``start`` on.
 
-    A cell's flux is its first grid point, spacing * index, its spacing
-    is its width and its detuning (``detuning`` is
-    FringeEvaluator.detuning) is that of its centre.  For a chunk,
-    ``weights`` has a row per run and ``start`` is a column of indices.
+    A cell's flux is its centre, the mean of its grid points' fluxes
+    spacing * index, so a single grid point's is its own; its spacing is
+    its width.  For a chunk, ``weights`` has a row per run and ``start``
+    is a column of indices.
     """
-    fluxes = spacing * (start + width * np.arange(weights.shape[-1]))
-    return CandidateSet(fluxes, weights, width * spacing,
-                        detuning(_centres(fluxes, width * spacing, spacing)))
+    index = start + width * np.arange(weights.shape[-1]) + (width - 1) / 2
+    return CandidateSet(spacing * index, weights, width * spacing)
 
 
-def _refine(cells: CandidateSet, spacing: float, detuning) -> CandidateSet:
+def _refine(cells: CandidateSet, spacing: float) -> CandidateSet:
     """Each of the adjacent ``cells`` (of one run, or of each run of a chunk)
     split into its two halves, each with half its weight, on a grid of
     ``spacing``."""
-    return _cells(spacing, np.rint(cells.fluxes[..., :1] / spacing),
-                  round(cells.spacing / spacing) // 2,
-                  np.repeat(0.5 * cells.weights, 2, axis=-1), detuning)
+    width = round(cells.spacing / spacing)
+    return _cells(spacing, np.rint(cells.fluxes[..., :1] / spacing - (width - 1) / 2), width // 2,
+                  np.repeat(0.5 * cells.weights, 2, axis=-1))
 
 
 def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> CandidateSet:
@@ -242,12 +230,10 @@ def build_flux_grid(design: SensorDesign, bias: FluxBias, config: PeaConfig) -> 
 
     The N-qubit range is the N=1 range over N.  Every standard grid has
     size * N = 6144, so all three share one spacing and the N=2 and N=3
-    grids are exact subsets of the N=1 grid.  Each candidate carries its
-    detuning, which does not depend on N.
+    grids are exact subsets of the N=1 grid.
     """
     size = config.resolved_grid_size
-    return _cells(_grid_spacing(design, bias, config), 0, 1, np.full(size, 1.0 / size),
-                  FringeEvaluator(design, bias).detuning)
+    return _cells(_grid_spacing(design, bias, config), 0, 1, np.full(size, 1.0 / size))
 
 
 def choose_delay(candidates: CandidateSet, evaluator: FringeEvaluator):
@@ -458,8 +444,7 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     Hitting the measurement cap is recorded, not fatal.  This is
     _step_chunk for a chunk of one run.
     """
-    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing,
-                         candidates.detunings[None])
+    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing)
     return _step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
                        record_readouts).run(0)
 
@@ -529,7 +514,8 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
     if m < 2 or m % 2 != 0:
         raise ValueError("halving needs an even number of candidates, at least 2")
     tau, theta = choose_delay(candidates, evaluator)
-    probs = evaluator.probability_at(candidates.detunings, tau[:, None], theta[:, None])
+    probs = evaluator.probability_at(evaluator.detuning(candidates.fluxes), tau[:, None],
+                                     theta[:, None])
     p_true = evaluator.probability_at(true_detunings, tau, theta)
 
     half = m // 2
@@ -607,8 +593,7 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
 
     window = starts[:, None] + np.arange(half)
     survivors = CandidateSet(np.take_along_axis(candidates.fluxes, window, axis=1), kept,
-                             candidates.spacing,
-                             np.take_along_axis(candidates.detunings, window, axis=1))
+                             candidates.spacing)
     return StepRecord(
         tau=tau,
         theta=theta,
@@ -628,7 +613,7 @@ TRACE_COLUMNS = (
     ("estimates", float, "estimate_phi0"),  # posterior-mean flux after the step, Phi_0
     ("cumulative_time", float, "cumulative_time_s"),  # sum of tau_i n_i up to the step, s
     ("cap_hits", bool, "cap_hit"),
-    ("retained", bool, None),  # the truth's grid point lies in a kept cell
+    ("retained", bool, None),  # the truth lies in the kept interval, lo <= truth < hi
 )
 TRACE = np.dtype([column[:2] for column in TRACE_COLUMNS])
 # pea_steps.csv after its step column: each header and the attribute it writes.
@@ -683,10 +668,8 @@ def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
     Steps run on cells of the grid of build_flux_grid, as wide as
     _cell_widths says, and before the next step each kept cell of more
     than one grid point splits into its two halves (_refine).  A step's
-    estimate is the posterior mean over the kept cells' centres, and the
-    truth is retained when it lies within half a cell of a kept cell's
-    centre, that is, when its grid point lies in a kept cell.  On single
-    grid points both are the rules of the grid itself.
+    estimate is the posterior mean of the kept candidates, and the truth
+    is retained when it lies in their interval.
 
     Every step takes its block buffers from one workspace allocated here.
     """
@@ -694,7 +677,7 @@ def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
     spacing = _grid_spacing(evaluator.design, evaluator.bias_point, config)
     runs, count = len(rngs), config.resolved_grid_size // widths[0]
     candidates = _cells(spacing, np.zeros((runs, 1)), widths[0],
-                        np.full((runs, count), 1.0 / count), evaluator.detuning)
+                        np.full((runs, count), 1.0 / count))
     true_fluxes = np.asarray(true_fluxes, dtype=float)
     true_detunings = evaluator.detuning(true_fluxes)
     workspace = _workspace(runs * _workspace_cells(config))
@@ -703,15 +686,14 @@ def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
         rec = _step_chunk(candidates, true_detunings, evaluator, config, rngs,
                           record_readouts=record_steps, workspace=workspace)
         kept = rec.survivors
-        centres = _centres(kept.fluxes, kept.spacing, spacing)
+        lo, hi = kept.interval
         elapsed = elapsed + rec.tau * rec.n_measurements
-        estimates = np.matmul(kept.weights[:, None], centres[:, :, None])[:, 0, 0]
-        retained = np.abs(centres - true_fluxes[:, None]).min(axis=1) <= 0.5 * kept.spacing
-        for name, values in zip(TRACE.names, (rec.tau, rec.n_measurements, estimates, elapsed,
-                                              rec.cap_hit, retained)):
+        for name, values in zip(TRACE.names, (rec.tau, rec.n_measurements, kept.posterior_mean(),
+                                              elapsed, rec.cap_hit,
+                                              (lo <= true_fluxes) & (true_fluxes < hi))):
             trace[name][:, i] = values
         records.append(rec)
-        candidates = _refine(kept, spacing, evaluator.detuning) if width > 1 else kept
+        candidates = _refine(kept, spacing) if width > 1 else kept
     return trace, records if record_steps else None
 
 

@@ -76,30 +76,21 @@ def test_config_resolved_grid_size():
 
 def test_candidate_set_validation():
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(3.0), np.array([0.5, 0.5]), 1.0, np.zeros(3))
+        CandidateSet(np.arange(3.0), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([0.6, 0.6]), 1.0, np.zeros(2))
+        CandidateSet(np.arange(2.0), np.array([0.6, 0.6]), 1.0)
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([1.2, -0.2]), 1.0, np.zeros(2))
+        CandidateSet(np.arange(2.0), np.array([1.2, -0.2]), 1.0)
     with pytest.raises(ValueError):
-        CandidateSet(np.arange(2.0), np.array([np.nan, np.nan]), 1.0, np.zeros(2))
-
-
-@pytest.mark.parametrize("detunings", [np.zeros(3), np.zeros(1), np.zeros((2, 1)),
-                                       np.zeros((1, 2)), np.float64(0.0)])
-def test_candidate_set_rejects_detunings_of_another_shape(detunings):
-    with pytest.raises(ValueError, match="detunings must match fluxes"):
-        CandidateSet(np.arange(2.0), np.array([0.5, 0.5]), 1.0, detunings)
-    with pytest.raises(ValueError, match="detunings must match fluxes"):
-        CandidateSet.uniform(np.arange(2.0), 1.0, detunings)
+        CandidateSet(np.arange(2.0), np.array([np.nan, np.nan]), 1.0)
 
 
 def test_candidate_set_interval_and_mean():
-    grid = CandidateSet.uniform(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, np.zeros(4))
+    grid = CandidateSet.uniform(np.array([0.0, 1.0, 2.0, 3.0]), 1.0)
     assert len(grid) == 4
-    assert grid.interval == (0.0, 4.0)
+    assert grid.interval == (-0.5, 3.5)
     assert np.all(grid.weights == 0.25)
-    skewed = CandidateSet(np.array([0.0, 1.0]), np.array([0.25, 0.75]), 1.0, np.zeros(2))
+    skewed = CandidateSet(np.array([0.0, 1.0]), np.array([0.25, 0.75]), 1.0)
     assert skewed.posterior_mean() == pytest.approx(0.75, rel=1e-15)
 
 
@@ -121,22 +112,13 @@ def test_standard_grids_nest():
     assert np.array_equal(g3.fluxes, g1.fluxes[:2048])
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 3])
-@pytest.mark.parametrize("grid_size, n_steps", [(None, 9), (64, 6)])
-def test_grid_carries_the_detuning_of_every_flux(n_qubits, grid_size, n_steps):
-    # the one place the detunings come from: the grid, for every sensor
-    config = PeaConfig(n_qubits=n_qubits, grid_size=grid_size, n_steps=n_steps)
-    grid = build_flux_grid(DESIGN, BIAS, config)
-    evaluator = FringeEvaluator(DESIGN, BIAS, n_qubits=n_qubits)
-    assert np.array_equal(grid.detunings, evaluator.detuning(grid.fluxes))
-
-
 def test_grid_span_matches_unambiguous_range():
     for n in (1, 2, 3):
         config = PeaConfig(n_qubits=n)
         grid = build_flux_grid(DESIGN, BIAS, config)
         span = dynamic_range(DESIGN, BIAS, config.tau_min, n)
-        assert grid.interval[1] == pytest.approx(span, rel=1e-12)
+        lo, hi = grid.interval
+        assert hi - lo == pytest.approx(span, rel=1e-12)
 
 
 def test_custom_grid_size():
@@ -234,7 +216,7 @@ def test_phase_centres_fringe_on_interval():
 
 def test_choose_delay_zero_span():
     config = PeaConfig()
-    degenerate = CandidateSet.uniform(np.zeros(2), 0.0, np.zeros(2))
+    degenerate = CandidateSet.uniform(np.zeros(2), 0.0)
     with pytest.raises(ArithmeticError):
         choose_delay(degenerate, _evaluator(1))
 
@@ -244,10 +226,10 @@ def test_choose_delay_takes_a_chunk_of_intervals(n_qubits, decohere):
     # one interval per run: each run's delay and phase, bit for bit
     evaluator = _evaluator(n_qubits, decohere)
     grid = build_flux_grid(DESIGN, BIAS, PeaConfig(n_qubits=n_qubits))
-    sets = [CandidateSet.uniform(grid.fluxes[s:s + w], grid.spacing, grid.detunings[s:s + w])
+    sets = [CandidateSet.uniform(grid.fluxes[s:s + w], grid.spacing)
             for s, w in [(0, 96), (5, 96), (700, 96), (1900, 96), (33, 96)]]
     chunk = CandidateSet(np.array([c.fluxes for c in sets]), np.array([c.weights for c in sets]),
-                         grid.spacing, np.array([c.detunings for c in sets]))
+                         grid.spacing)
     tau, theta = choose_delay(chunk, evaluator)
     assert [(float(t), float(p)) for t, p in zip(tau, theta)] == [
         choose_delay(c, evaluator) for c in sets]
@@ -259,7 +241,7 @@ def test_delay_caps_at_optimum_under_decoherence():
     config = PeaConfig(n_qubits=2)
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(2, decohere=True)
-    narrow = CandidateSet.uniform(grid.fluxes[:2], grid.spacing, grid.detunings[:2])
+    narrow = CandidateSet.uniform(grid.fluxes[:2], grid.spacing)
     tau, _ = choose_delay(narrow, evaluator)
     a, b = evaluator.envelope_rates
     assert tau == optimal_delay(a, b, 2)
@@ -280,10 +262,10 @@ def test_run_step_rejects_bad_cardinality():
     config = PeaConfig()
     evaluator = _evaluator(1)
     rng = np.random.default_rng(0)
-    odd = CandidateSet.uniform(np.arange(3.0) * 1e-8, 1e-8, np.zeros(3))
+    odd = CandidateSet.uniform(np.arange(3.0) * 1e-8, 1e-8)
     with pytest.raises(ValueError):
         run_step(odd, 0.0, evaluator, config, rng)
-    single = CandidateSet.uniform(np.array([0.0]), 1e-8, np.zeros(1))
+    single = CandidateSet.uniform(np.array([0.0]), 1e-8)
     with pytest.raises(ValueError):
         run_step(single, 0.0, evaluator, config, rng)
 
@@ -306,11 +288,14 @@ def test_run_step_keeps_true_flux():
 
 def test_target_at_interval_centre_never_caps():
     # p = 1/2 at the target for every candidate interval centred on it: a
-    # lower-or-upper-half rule stalls there, the heaviest window does not
+    # lower-or-upper-half rule stalls there, the heaviest window does not.
+    # The first interval's centre lies between grid points, 31.5 spacings
+    # in, so the truth is no candidate and only interval membership keeps it.
     config = PeaConfig(n_qubits=1, grid_size=64, n_steps=6, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
     evaluator = _evaluator(1)
-    centre = float(grid.fluxes[32])
+    centre = 31.5 * grid.spacing
+    assert centre == pytest.approx(sum(grid.interval) / 2, rel=1e-12)
     tau, theta = choose_delay(grid, evaluator)
     assert evaluator.probability_excited(centre, tau, theta) == pytest.approx(0.5, abs=1e-9)
     for child in np.random.SeedSequence(3232).spawn(200):
@@ -328,14 +313,13 @@ def _window_test(weights, half, epsilon):
     return bool(outside[start] <= epsilon * below[-1]), start
 
 
-def _replay_step(candidates, rec, evaluator, config, spacing):
+def _replay_step(candidates, rec, evaluator, config):
     """Survivors of one recorded step, one readout at a time through posterior_update.
 
-    The fringe is evaluated at the candidates' centres: the mean of each
-    cell's points on the grid of ``spacing``, a grid point's own flux.
+    The fringe is evaluated at the candidates' fluxes, each the centre of
+    its cell (a grid point's own flux).
     """
-    centres = candidates.fluxes + 0.5 * (candidates.spacing - spacing)
-    probs = evaluator.probability_excited(centres, rec.tau, rec.theta)
+    probs = evaluator.probability_excited(candidates.fluxes, rec.tau, rec.theta)
     half = len(candidates) // 2
     weights = candidates.weights
     for count, x in enumerate(rec.readouts, start=1):
@@ -349,7 +333,7 @@ def _replay_step(candidates, rec, evaluator, config, spacing):
         assert count == config.measurement_cap
     kept = weights[start:start + half]
     return CandidateSet(candidates.fluxes[start:start + half], kept / kept.sum(),
-                        candidates.spacing, candidates.detunings[start:start + half])
+                        candidates.spacing)
 
 
 def _assert_same_survivors(survivors, rec):
@@ -410,7 +394,7 @@ def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size
             candidates = steps[-1].survivors
     candidates = grid
     for rec in steps:
-        survivors = _replay_step(candidates, rec, evaluator, config, grid.spacing)
+        survivors = _replay_step(candidates, rec, evaluator, config)
         _assert_same_survivors(survivors, rec)
         candidates = survivors
     if cap < 10_000:
@@ -457,19 +441,19 @@ def test_coarse_run_matches_sequential_oracle(monkeypatch, n_qubits, decohere, s
                         record_steps=True)
     assert len(fed) == config.n_steps
     first = fed[0]
-    assert np.array_equal(first.fluxes, grid.fluxes[::widths[0]])
+    assert first.fluxes == pytest.approx(
+        grid.fluxes.reshape(-1, widths[0]).mean(axis=1), rel=1e-12, abs=0)
     assert first.spacing == widths[0] * grid.spacing
     assert np.all(first.weights == 1.0 / len(first))
     for i, (candidates, rec) in enumerate(zip(fed, result.steps)):
-        survivors = _replay_step(candidates, rec, evaluator, config, grid.spacing)
+        survivors = _replay_step(candidates, rec, evaluator, config)
         _assert_same_survivors(survivors, rec)
         if i + 1 < len(fed):
             kept = rec.survivors
-            expected = (pea._refine(kept, grid.spacing, evaluator.detuning)
-                        if widths[i] > 1 else kept)
+            expected = pea._refine(kept, grid.spacing) if widths[i] > 1 else kept
             following = fed[i + 1]
             assert following.spacing == expected.spacing == widths[i + 1] * grid.spacing
-            for field in ("fluxes", "weights", "detunings"):
+            for field in ("fluxes", "weights"):
                 assert np.array_equal(getattr(following, field), getattr(expected, field)), field
     assert fed[-1].spacing == grid.spacing
     if cap < 10_000:
@@ -482,14 +466,14 @@ def _same_record(rec, ref):
             == (ref.tau, ref.theta, ref.n_measurements, ref.cap_hit, ref.readouts)
             and rec.survivors.spacing == ref.survivors.spacing
             and all(np.array_equal(getattr(rec.survivors, field), getattr(ref.survivors, field))
-                    for field in ("fluxes", "weights", "detunings")))
+                    for field in ("fluxes", "weights")))
 
 
 @pytest.mark.parametrize("n_qubits, decohere, sigma, n_steps, grid_size, cap", [
     (1, False, 1.0, 9, None, 10_000),   # 48 cells, then 24 grid points (window screen)
     (3, True, 1.0, 9, None, 10_000),    # 64 cells, then capped steps on 32, 16 and 8
     (3, True, 0.05, 9, None, 10_000),
-    (2, True, 1.0, 6, 64, 300),         # 64 grid points, then m <= 32, some runs capped
+    (2, True, 1.0, 6, 64, 200),         # 64 grid points, then m <= 32, some runs capped
     (1, False, 1.0, 9, None, 40),       # the cap ends the first block
     (3, True, 0.5, 9, None, 300),
     (1, False, 1.0, 3, None, 10_000),   # 1536 cells: the exact test on every row
@@ -547,7 +531,7 @@ def test_run_step_degenerate_readout(monkeypatch):
 
     monkeypatch.setattr("fluxsense.pea.sample_measurements", sample)
     chunk = CandidateSet(np.tile(grid.fluxes, (3, 1)), np.tile(grid.weights, (3, 1)),
-                         grid.spacing, np.tile(grid.detunings, (3, 1)))
+                         grid.spacing)
     with pytest.raises(DegenerateLikelihoodError):
         pea._step_chunk(chunk, np.zeros(3), _evaluator(1), config, rngs)
     assert [drawn.count(rng) for rng in rngs] == [2, 1, 2]
@@ -637,8 +621,7 @@ def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
 
 def _step_alone(candidates, true_flux, evaluator, config, rng, **options):
     """run_step's chunk of one run, stepped with _step_chunk's ``options``."""
-    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing,
-                         candidates.detunings[None])
+    chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing)
     return pea._step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
                            **options).run(0)
 
@@ -682,7 +665,7 @@ def test_reused_workspace_matches_fresh_buffers():
 
 
 # Peak traced memory of one warm step of a run with its workspace, on the
-# grid's detunings as in a run: 181 KiB at most on every step of the
+# grid as in a run: 181 KiB at most on every step of the
 # standard decohered runs (m = 6144 down to 8), so the bound has 2x
 # headroom.  A step that allocates its own block buffers peaks at
 # 594-734 KiB.
@@ -721,7 +704,7 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
     runs, widths = 8, pea._cell_widths(config)
     count = len(grid) // widths[0]
     candidates = pea._cells(grid.spacing, np.zeros((runs, 1)), widths[0],
-                            np.full((runs, count), 1.0 / count), evaluator.detuning)
+                            np.full((runs, count), 1.0 / count))
     true_detunings = evaluator.detuning(grid.fluxes[(901 + 311 * np.arange(runs)) % len(grid)])
     rngs = [np.random.default_rng((n_qubits, run)) for run in range(runs)]
     workspace = pea._workspace(runs * pea._workspace_cells(config))
@@ -736,29 +719,8 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
             peaks[step] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        candidates = (pea._refine(rec.survivors, grid.spacing, evaluator.detuning)
-                      if width > 1 else rec.survivors)
+        candidates = pea._refine(rec.survivors, grid.spacing) if width > 1 else rec.survivors
     assert max(peaks.values()) <= _CHUNK_STEP_PEAK_BYTES, peaks
-
-
-@pytest.mark.parametrize("n_qubits, decohere", [(1, False), (3, True)])
-def test_survivors_carry_their_slice_of_the_grid_detunings(n_qubits, decohere):
-    # each set of cells carries the detunings of its cells' centres,
-    # computed once; the fringe at each survivor set's slice of them is
-    # the fringe at its centres, bit for bit, at the delay and phase of
-    # every step
-    config = PeaConfig(n_qubits=n_qubits, decoherence_enabled=decohere)
-    evaluator = _evaluator(n_qubits, decohere)
-    grid = build_flux_grid(DESIGN, BIAS, config)
-    result = run_single(float(grid.fluxes[1234 % len(grid)]), evaluator, config,
-                        np.random.default_rng(n_qubits), record_steps=True)
-    assert result.steps[0].survivors.spacing > grid.spacing, "no step on cells"
-    for survivors in (rec.survivors for rec in result.steps):
-        centres = survivors.fluxes + 0.5 * (survivors.spacing - grid.spacing)
-        for step in result.steps:
-            fringe = step.tau, step.theta
-            assert np.array_equal(evaluator.probability_at(survivors.detunings, *fringe),
-                                  evaluator.probability_excited(centres, *fringe))
 
 
 @pytest.mark.parametrize("n_qubits, decohere, cells", [(1, False, 48), (2, True, 48),
@@ -778,16 +740,17 @@ def test_steps_run_on_cells_until_the_grid_is_that_fine(monkeypatch, n_qubits, d
         assert len(candidates) == min(cells, points) <= pea._MAX_CELLS
         assert len(candidates) * width == points
         assert candidates.spacing == width * grid.spacing
-        start = int(np.flatnonzero(grid.fluxes == candidates.fluxes[0])[0])
-        assert np.array_equal(candidates.fluxes, grid.fluxes[start:start + points:width])
+        # each cell's flux is its centre, the mean of its grid points
+        start = int(np.rint(candidates.fluxes[0] / grid.spacing - (width - 1) / 2))
+        assert candidates.fluxes == pytest.approx(
+            grid.fluxes[start:start + points].reshape(-1, width).mean(axis=1), rel=1e-12, abs=0)
         if i:
             kept = result.steps[i - 1].survivors
             split = kept.spacing > grid.spacing
             assert np.array_equal(candidates.weights,
                                   np.repeat(0.5 * kept.weights, 2) if split else kept.weights)
         # the delay and phase of the grid points over the same interval
-        fine = CandidateSet.uniform(grid.fluxes[start:start + points], grid.spacing,
-                                    grid.detunings[start:start + points])
+        fine = CandidateSet.uniform(grid.fluxes[start:start + points], grid.spacing)
         assert (rec.tau, rec.theta) == choose_delay(fine, evaluator)
     assert fed[-1].spacing == grid.spacing, "the last step is not on grid points"
     assert pea._cell_widths(config)[0] == size // cells
@@ -813,7 +776,7 @@ def test_cell_schedule():
 def test_run_step_two_candidates():
     config = PeaConfig(n_qubits=1, grid_size=16, n_steps=4, decoherence_enabled=False)
     grid = build_flux_grid(DESIGN, BIAS, config)
-    pair = CandidateSet.uniform(grid.fluxes[:2], grid.spacing, grid.detunings[:2])
+    pair = CandidateSet.uniform(grid.fluxes[:2], grid.spacing)
     rec = run_step(pair, float(grid.fluxes[0]), _evaluator(1), config,
                    np.random.default_rng(12))
     assert len(rec.survivors) == 1
@@ -847,11 +810,9 @@ def test_run_single_traces():
         assert len(rec.readouts) == result.counts[i]
         # the kept interval is 6144 >> (i + 1) grid points, in whole cells
         assert len(kept) * width == 6144 >> (i + 1)
-        centres = kept.fluxes + 0.5 * (kept.spacing - grid.spacing)
-        assert result.estimates[i] == float(np.dot(kept.weights, centres))
-        if width == 1:
-            assert result.estimates[i] == kept.posterior_mean()
-        first = np.rint(kept.fluxes / grid.spacing).astype(int)  # grid index of each cell
+        assert result.estimates[i] == kept.posterior_mean()
+        # grid index of each cell's first point
+        first = np.rint(kept.fluxes / grid.spacing - (width - 1) / 2).astype(int)
         assert result.retained[i] == np.any((first <= 901) & (901 < first + width))
     assert round(result.steps[0].survivors.spacing / grid.spacing) == 128
     # the final interval is 12 grid spacings wide and contains the target

@@ -2,8 +2,6 @@ import importlib.util
 import os
 from pathlib import Path
 
-import pytest
-
 from fluxsense import pea
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "step_costs.py"
@@ -19,11 +17,9 @@ def _load_script(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_step_costs_exact_turns_the_window_screen_off(monkeypatch, capsys, exact):
+def test_step_costs_runs_the_window_product(monkeypatch, capsys):
     script = _load_script(monkeypatch)
     monkeypatch.setattr(script, "BENCHMARK", {"pea-coherent": script.BENCHMARK["pea-coherent"]})
-    monkeypatch.setattr(pea, "_DIRECT_MAX", pea._DIRECT_MAX)  # restored if --exact changes it
     calls, product = [], pea._product_decisions
 
     def counted(*args):
@@ -31,8 +27,8 @@ def test_step_costs_exact_turns_the_window_screen_off(monkeypatch, capsys, exact
         return product(*args)
 
     monkeypatch.setattr(pea, "_product_decisions", counted)
-    monkeypatch.setattr("sys.argv", ["step_costs.py", "--repeats", "1"] + ["--exact"] * exact)
+    monkeypatch.setattr("sys.argv", ["step_costs.py", "--repeats", "1"])
     script.main()
     out = capsys.readouterr().out
     assert out.startswith("pea-coherent: ")
-    assert (len(calls) == 0) == exact
+    assert calls, "no step decided by the window product"
