@@ -151,17 +151,15 @@ def _cmd_ridge(args, config: ToolConfig, outdir: Path) -> list[Path]:
                       np.asarray(temps_mk) * 1e-3)
 
     # Each frequency and flux is formatted once, into the row template of every
-    # cell; each NaN mask keeps its cells' rows as one template.
+    # cell; the NaN cells do not depend on temperature, so one template serves all.
     f_ghz = f_values / 1e9
     f_text = [f"{f:.9g}," for f in f_ghz.tolist()]
     phi_rows = [f"{phi:.9g},%.9g\r\n" for phi in phi_values.tolist()]
     cells = [f + row for f in f_text for row in phi_rows]
-    paths, valid = [], None
+    valid = ~np.isnan(scan.surface[0])
+    body = "".join(itertools.compress(cells, valid.ravel().tolist()))
+    paths = []
     for t_mk, surface in zip(temps_mk, scan.surface):
-        mask = ~np.isnan(surface)
-        if valid is None or not np.array_equal(mask, valid):
-            valid = mask
-            body = "".join(itertools.compress(cells, valid.ravel().tolist()))
         path = outdir / _SURFACE_NAME.format(t_mk)
         _write_text(path, _csvtext.fill("fq_max_ghz,phi,sensitivity_per_phi0", body,
                                         surface[valid].tolist()))

@@ -14,7 +14,7 @@ scaling) until decoherence caps the useful delay.
 
 Early steps need no fine grid, so a step whose interval holds more than
 _MAX_CELLS grid points runs on cells of 2^j adjacent grid points
-(_cell_widths), a candidate set that refines as it halves.  Every
+(_first_width), a candidate set that refines as it halves.  Every
 candidate, a grid point or a cell, is the centre of the flux range it
 covers, and its spacing is the width of that range, so one flux serves
 the interval, the delay and phase, the fringe, the estimate and the
@@ -50,8 +50,9 @@ every step, so one [runs, readouts, candidates] array holds a block of
 each run still measuring, and one set of numpy calls serves them all.
 Each run draws its own blocks from its own stream, and its arithmetic is
 that of the run alone, so its records do not depend on its companions
-(see _product_decisions).  run_step and run_single are the chunk of one
-run.
+(see _product_decisions).  Every step takes its block buffers from the
+rows of one workspace (_workspace), at the same offsets on every step.
+run_step and run_single are the chunk of one run.
 """
 
 from __future__ import annotations
@@ -383,54 +384,40 @@ def _window_test(posterior: np.ndarray, epsilon: float, below: np.ndarray,
     return outside.min(axis=-1) <= epsilon * total, outside, total
 
 
-def _block_layout(m: int, cap: int) -> tuple[int, tuple[int, ...]]:
-    """Rows and columns of a step's block buffers over m candidates:
-    the posterior and the window test's ``below`` and ``above``."""
-    rows = min(max(1, _BLOCK_CELLS // m), cap)
-    return rows, (m, m // 2 + 1, m // 2 + 1)
-
-
 # A run's steps hold at most this many cells while the grid allows it
-# (see _cell_widths).
+# (see _first_width).
 _MAX_CELLS = 64
 
 
-def _cell_widths(config: PeaConfig) -> list[int]:
-    """Grid points per cell at each step of a run.
-
-    The first step's cells are 2^j0 points wide, j0 the smallest j at
-    which the grid splits into at most _MAX_CELLS cells, capped at
+def _first_width(config: PeaConfig) -> int:
+    """Grid points per cell of a run's first step: 2^j0, j0 the smallest j
+    at which the grid splits into at most _MAX_CELLS cells, capped at
     n_steps - 1 (2^n_steps divides the grid, so 2^j0 does too).  The
-    width halves each step down to one grid point, so the step over
-    size >> i grid points holds (size >> i) // width cells: size >> j0
-    until the width reaches one, then size >> i.
-    """
+    width halves each step down to one grid point."""
     size = config.resolved_grid_size
-    j0 = next((j for j in range(config.n_steps) if size >> j <= _MAX_CELLS), config.n_steps - 1)
-    return [1 << max(j0 - i, 0) for i in range(config.n_steps)]
+    return 1 << next((j for j in range(config.n_steps) if size >> j <= _MAX_CELLS),
+                     config.n_steps - 1)
 
 
-def _workspace_cells(config: PeaConfig) -> int:
-    """Size of a workspace that holds the block buffers of every step of a run."""
-    size, cap = config.resolved_grid_size, config.measurement_cap
-    layouts = [_block_layout((size >> i) // width, cap)
-               for i, width in enumerate(_cell_widths(config))]
-    return max(rows * sum(columns) for rows, columns in layouts)
+def _workspace(runs: int, m: int) -> np.ndarray:
+    """Block buffers for steps of ``runs`` runs over at most m candidates:
+    the rows of a [3, runs * max(_BLOCK_CELLS, m)] float64 array hold the
+    block posterior and the window test's ``below`` and ``above``.  A
+    block over m candidates draws at most max(1, _BLOCK_CELLS // m)
+    readouts a run, of m cells each in the posterior and m/2 + 1 in the
+    others, so each fits its row.
 
-
-def _workspace(cells: int) -> np.ndarray:
-    """A float64 array of ``cells`` in an anonymous memory mapping of its own.
-
-    A chunk's workspace spans megabytes, of which a step touches the head
-    of each buffer.  Mapped on its own, the pages no block writes never
-    become resident, and freeing it unmaps it.  From the heap, freeing it
-    would raise malloc's mmap threshold past its size, so the next
-    chunk's workspace and the temporaries below that size would come
-    from a heap that keeps every page once written resident.
+    The array is mapped anonymously on its own: a step touches the head
+    of each row, so the pages no block writes never become resident, and
+    freeing it unmaps it.  From the heap, freeing it would raise malloc's
+    mmap threshold past its size, so the next chunk's workspace and the
+    temporaries below that size would come from a heap that keeps every
+    page once written resident.
     """
-    import mmap  # only campaigns need it, so `import fluxsense` does not load it
+    import mmap  # only PEA steps need it, so `import fluxsense` does not load it
 
-    return np.frombuffer(mmap.mmap(-1, 8 * cells), dtype=float)
+    cells = runs * max(_BLOCK_CELLS, m)
+    return np.frombuffer(mmap.mmap(-1, 8 * 3 * cells), dtype=float).reshape(3, cells)
 
 
 def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvaluator,
@@ -445,8 +432,8 @@ def run_step(candidates: CandidateSet, true_flux: float, evaluator: FringeEvalua
     _step_chunk for a chunk of one run.
     """
     chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing)
-    return _step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
-                       record_readouts).run(0)
+    return _step_chunk(chunk, np.array([true_flux]), evaluator, config, [rng],
+                       _workspace(1, len(candidates)), record_readouts).run(0)
 
 
 def _product_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
@@ -481,14 +468,13 @@ def _product_decisions(posterior: np.ndarray, k: np.ndarray, epsilon: float,
     return decided, total
 
 
-def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
+def _step_chunk(candidates: CandidateSet, true_fluxes: np.ndarray,
                 evaluator: FringeEvaluator, config: PeaConfig, rngs: list[np.random.Generator],
-                record_readouts: bool = False,
-                workspace: np.ndarray | None = None) -> StepRecord:
+                workspace: np.ndarray, record_readouts: bool = False) -> StepRecord:
     """One step of each run of a chunk, in lockstep: run_step's rule for
     every row of ``candidates`` (a chunk's CandidateSet, see there),
-    ``true_detunings`` the detuning of each run's true flux and ``rngs``
-    its generator.  Returns the chunk's StepRecord.
+    ``true_fluxes`` each run's true flux and ``rngs`` its generator.
+    Returns the chunk's StepRecord.
 
     Each run draws blocks of readouts from its own generator, of the
     sizes it would draw alone, and one [runs, readouts, candidates]
@@ -506,9 +492,9 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
     _window_test.  The kept window comes from the prefix sums of a run's
     last row.
 
-    The block buffers are views of ``workspace``, a 1-D float64 array of
-    at least runs * _workspace_cells cells that the step writes before it
-    reads; without one the step allocates its own.
+    The block buffers are views of the three rows of ``workspace``, a
+    _workspace for the runs and at least m candidates, which the step
+    writes before it reads.
     """
     runs, m = candidates.fluxes.shape
     if m < 2 or m % 2 != 0:
@@ -516,22 +502,16 @@ def _step_chunk(candidates: CandidateSet, true_detunings: np.ndarray,
     tau, theta = choose_delay(candidates, evaluator)
     probs = evaluator.probability_at(evaluator.detuning(candidates.fluxes), tau[:, None],
                                      theta[:, None])
-    p_true = evaluator.probability_at(true_detunings, tau, theta)
+    p_true = evaluator.probability_at(evaluator.detuning(true_fluxes), tau, theta)
 
     half = m // 2
     cap = config.measurement_cap
     epsilon = config.epsilon
+    rows = min(max(1, _BLOCK_CELLS // m), cap)
     # Block buffers, sliced to [runs, k] rows per block.  They live as
     # long as the workspace, a whole chunk in _run_chunk: fresh buffers
     # on every step or block cost heap trimming and page faults.
-    rows, columns = _block_layout(m, cap)
-    sizes = [runs * rows * width for width in columns]
-    if workspace is None:
-        workspace = np.empty(sum(sizes))
-    elif workspace.size < sum(sizes):
-        raise ValueError(f"workspace holds {workspace.size} cells, a step of {runs} runs "
-                         f"over {m} candidates needs {sum(sizes)}")
-    posterior_buf, below_buf, above_buf = np.split(workspace[:sum(sizes)], np.cumsum(sizes)[:2])
+    posterior_buf, below_buf, above_buf = workspace
     direct = m <= _DIRECT_MAX
     # Per run, in run order: what the step returns.
     counts = np.zeros(runs, dtype=int)
@@ -665,26 +645,26 @@ def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
     records [run, step] and each step's StepRecord of the chunk, or
     None without ``record_steps``.
 
-    Steps run on cells of the grid of build_flux_grid, as wide as
-    _cell_widths says, and before the next step each kept cell of more
-    than one grid point splits into its two halves (_refine).  A step's
+    The first step runs on cells of _first_width grid points of the grid
+    of build_flux_grid, and before the next step each kept cell of more
+    than one grid point (2^j of them, so its spacing exceeds the grid's
+    exactly) splits into its two halves (_refine).  A step's
     estimate is the posterior mean of the kept candidates, and the truth
     is retained when it lies in their interval.
 
-    Every step takes its block buffers from one workspace allocated here.
+    No step holds more candidates than the first, so every step takes its
+    block buffers from one workspace mapped here for the first.
     """
-    widths = _cell_widths(config)
+    width = _first_width(config)
     spacing = _grid_spacing(evaluator.design, evaluator.bias_point, config)
-    runs, count = len(rngs), config.resolved_grid_size // widths[0]
-    candidates = _cells(spacing, np.zeros((runs, 1)), widths[0],
-                        np.full((runs, count), 1.0 / count))
+    runs, count = len(rngs), config.resolved_grid_size // width
+    candidates = _cells(spacing, np.zeros((runs, 1)), width, np.full((runs, count), 1.0 / count))
     true_fluxes = np.asarray(true_fluxes, dtype=float)
-    true_detunings = evaluator.detuning(true_fluxes)
-    workspace = _workspace(runs * _workspace_cells(config))
+    workspace = _workspace(runs, count)
     trace, records, elapsed = np.empty((runs, config.n_steps), TRACE), [], 0.0
-    for i, width in enumerate(widths):
-        rec = _step_chunk(candidates, true_detunings, evaluator, config, rngs,
-                          record_readouts=record_steps, workspace=workspace)
+    for i in range(config.n_steps):
+        rec = _step_chunk(candidates, true_fluxes, evaluator, config, rngs, workspace,
+                          record_readouts=record_steps)
         kept = rec.survivors
         lo, hi = kept.interval
         elapsed = elapsed + rec.tau * rec.n_measurements
@@ -693,7 +673,7 @@ def _run_chunk(true_fluxes, evaluator: FringeEvaluator, config: PeaConfig,
                                               (lo <= true_fluxes) & (true_fluxes < hi))):
             trace[name][:, i] = values
         records.append(rec)
-        candidates = _refine(kept, spacing) if width > 1 else kept
+        candidates = _refine(kept, spacing) if kept.spacing > spacing else kept
     return trace, records if record_steps else None
 
 

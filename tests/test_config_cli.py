@@ -629,15 +629,16 @@ def _check_ridge_surfaces(outdir, fq_min_ghz, fq_max_ghz, fq_points, phi_points,
     assert (outdir / "ridge_maxima.csv").read_bytes() == buf.getvalue().encode()
 
 
-def test_cli_ridge_surface_follows_each_nan_mask(tmp_path, capsys, monkeypatch):
-    # Surfaces whose NaN cells differ between temperatures: each file keeps
-    # exactly its own non-NaN cells, in the csv.writer oracle's bytes
+def test_cli_ridge_surface_drops_the_nan_cells(tmp_path, capsys, monkeypatch):
+    # Surfaces with more NaN cells, the same at every temperature as
+    # ridge_scan's (test_ridge_scan_masks_unreachable_flux): each file keeps
+    # exactly the non-NaN cells, in the csv.writer oracle's bytes
     scans = []
 
     def scan_with_holes(*args):
         scan = ridge_scan(*args)
-        scan.surface[1, 0, :5] = np.nan
-        scan.surface[2, 1, 3] = np.nan
+        scan.surface[:, 0, :5] = np.nan
+        scan.surface[:, 1, 3] = np.nan
         scans.append(scan)
         return scan
 

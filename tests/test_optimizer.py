@@ -262,8 +262,8 @@ def test_runtime_imports_no_scipy():
 
 
 def test_import_and_parse_load_no_campaign_modules():
-    # the start-up every command pays: campaigns import mmap (the chunk
-    # workspace) and concurrent.futures (the process pool) when they run
+    # the start-up every command pays: PEA steps import mmap (their
+    # workspace) and campaigns concurrent.futures (the process pool) when they run
     code = ("import sys, fluxsense; fluxsense.parse_config(''); "
             "print(sorted(m for m in ('mmap', 'concurrent.futures') if m in sys.modules))")
     assert _fresh_output(code) == "[]"

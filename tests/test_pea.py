@@ -304,6 +304,31 @@ def test_target_at_interval_centre_never_caps():
         assert result.retained.all()
 
 
+def test_brute_force_posterior_oracle_at_every_grid_index():
+    # criterion 7's check at all 16 indices, even ones too: every candidate
+    # is the centre of its cell, so no grid point sits at an interval centre
+    # on the grid-point steps, and odd and even targets are alike to it
+    config = PeaConfig(n_qubits=1, grid_size=16, n_steps=4, sigma0=0.05, sigma1=0.05,
+                       epsilon=1e-6, decoherence_enabled=False)
+    evaluator = _evaluator(1)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    matches, recovered = np.zeros(16, dtype=int), np.zeros(16, dtype=int)
+    for trial, child in enumerate(np.random.SeedSequence(1616).spawn(400)):
+        true_idx = trial % 16
+        result = run_single(float(grid.fluxes[true_idx]), evaluator, config,
+                            np.random.default_rng(child), record_steps=True)
+        weights = np.full(16, 1.0 / 16.0)
+        for rec in result.steps:
+            probs = evaluator.probability_excited(grid.fluxes, rec.tau, rec.theta)
+            for x in rec.readouts:
+                weights = posterior_update(weights, probs, x, config)
+        est_idx = int(np.rint(result.estimates[-1] / grid.spacing))
+        matches[true_idx] += int(np.argmax(weights)) == est_idx
+        recovered[true_idx] += est_idx == true_idx
+    assert matches.sum() >= 396 and matches[::2].sum() >= 198, matches
+    assert recovered.sum() >= 396 and recovered[::2].sum() >= 198, recovered
+
+
 def _window_test(weights, half, epsilon):
     """Whether the heaviest window of ``half`` candidates holds 1 - epsilon, and its start."""
     below = np.concatenate(([0.0], np.cumsum(weights)))
@@ -384,7 +409,7 @@ def test_run_step_matches_sequential_oracle(n_qubits, decohere, sigma, grid_size
     config, evaluator, grid, true_flux = _oracle_case(n_qubits, decohere, sigma, grid_size,
                                                       cap, seed)
     rng = np.random.default_rng(seed)
-    if pea._cell_widths(config)[0] == 1:
+    if pea._first_width(config) == 1:
         steps = run_single(true_flux, evaluator, config, rng, record_steps=True).steps
     else:
         steps, candidates = [], grid
@@ -434,25 +459,25 @@ def test_coarse_run_matches_sequential_oracle(monkeypatch, n_qubits, decohere, s
     # split by the run's own refine helper.
     config, evaluator, grid, true_flux = _oracle_case(n_qubits, decohere, sigma, grid_size,
                                                       cap, seed)
-    widths = pea._cell_widths(config)
-    assert widths[0] > 1
+    width = pea._first_width(config)
+    assert width > 1
     fed = _fed_candidates(monkeypatch)
     result = run_single(true_flux, evaluator, config, np.random.default_rng(seed),
                         record_steps=True)
     assert len(fed) == config.n_steps
     first = fed[0]
     assert first.fluxes == pytest.approx(
-        grid.fluxes.reshape(-1, widths[0]).mean(axis=1), rel=1e-12, abs=0)
-    assert first.spacing == widths[0] * grid.spacing
+        grid.fluxes.reshape(-1, width).mean(axis=1), rel=1e-12, abs=0)
+    assert first.spacing == width * grid.spacing
     assert np.all(first.weights == 1.0 / len(first))
     for i, (candidates, rec) in enumerate(zip(fed, result.steps)):
         survivors = _replay_step(candidates, rec, evaluator, config)
         _assert_same_survivors(survivors, rec)
         if i + 1 < len(fed):
             kept = rec.survivors
-            expected = pea._refine(kept, grid.spacing) if widths[i] > 1 else kept
+            expected = pea._refine(kept, grid.spacing) if kept.spacing > grid.spacing else kept
             following = fed[i + 1]
-            assert following.spacing == expected.spacing == widths[i + 1] * grid.spacing
+            assert following.spacing == expected.spacing == max(width >> (i + 1), 1) * grid.spacing
             for field in ("fluxes", "weights"):
                 assert np.array_equal(getattr(following, field), getattr(expected, field)), field
     assert fed[-1].spacing == grid.spacing
@@ -533,7 +558,8 @@ def test_run_step_degenerate_readout(monkeypatch):
     chunk = CandidateSet(np.tile(grid.fluxes, (3, 1)), np.tile(grid.weights, (3, 1)),
                          grid.spacing)
     with pytest.raises(DegenerateLikelihoodError):
-        pea._step_chunk(chunk, np.zeros(3), _evaluator(1), config, rngs)
+        pea._step_chunk(chunk, np.zeros(3), _evaluator(1), config, rngs,
+                        pea._workspace(3, len(grid)))
     assert [drawn.count(rng) for rng in rngs] == [2, 1, 2]
 
 
@@ -619,10 +645,10 @@ def test_window_screen_never_rejects_a_deciding_row(m, epsilon):
     assert not decided[-1], "a flat row decided"
 
 
-def _step_alone(candidates, true_flux, evaluator, config, rng, **options):
-    """run_step's chunk of one run, stepped with _step_chunk's ``options``."""
+def _step_alone(candidates, true_flux, evaluator, config, rng, workspace, **options):
+    """run_step's chunk of one run, stepped in ``workspace`` with _step_chunk's ``options``."""
     chunk = CandidateSet(candidates.fluxes[None], candidates.weights[None], candidates.spacing)
-    return pea._step_chunk(chunk, evaluator.detuning([true_flux]), evaluator, config, [rng],
+    return pea._step_chunk(chunk, np.array([true_flux]), evaluator, config, [rng], workspace,
                            **options).run(0)
 
 
@@ -637,7 +663,7 @@ def test_reused_workspace_matches_fresh_buffers():
         PeaConfig(n_qubits=1, grid_size=3000, n_steps=3, decoherence_enabled=False),
         PeaConfig(n_qubits=1, measurement_cap=40, decoherence_enabled=False),
     ]
-    workspace = np.full(max(pea._workspace_cells(c) for c in configs), np.nan)
+    workspace = np.full(pea._workspace(1, 6144).shape, np.nan)  # the widest grid, stepped whole
     pairs = []
     for seed, config in enumerate(configs):
         evaluator = _evaluator(config.n_qubits, config.decoherence_enabled)
@@ -646,10 +672,10 @@ def test_reused_workspace_matches_fresh_buffers():
         reused_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reused = fresh = grid
         for _ in range(config.n_steps):
-            rec = _step_alone(reused, true_flux, evaluator, config, reused_rng,
-                              record_readouts=True, workspace=workspace)
+            rec = _step_alone(reused, true_flux, evaluator, config, reused_rng, workspace,
+                              record_readouts=True)
             ref = _step_alone(fresh, true_flux, evaluator, config, fresh_rng,
-                              record_readouts=True, workspace=np.zeros(workspace.size))
+                              np.zeros(workspace.shape), record_readouts=True)
             pairs.append((rec, ref))
             reused, fresh = rec.survivors, ref.survivors
     for rec, ref in pairs:
@@ -658,17 +684,15 @@ def test_reused_workspace_matches_fresh_buffers():
         assert np.array_equal(rec.survivors.fluxes, ref.survivors.fluxes)
         assert np.array_equal(rec.survivors.weights, ref.survivors.weights)
     assert any(rec.cap_hit for rec, _ in pairs), "no capped step"
-    assert not np.isnan(workspace).all(), "the steps did not use the workspace"
-    with pytest.raises(ValueError, match="workspace"):
-        _step_alone(grid, true_flux, evaluator, config, np.random.default_rng(0),
-                    workspace=np.empty(10))
+    assert not np.isnan(workspace).all(axis=1).any(), "the steps left a buffer unused"
 
 
 # Peak traced memory of one warm step of a run with its workspace, on the
-# grid as in a run: 181 KiB at most on every step of the
-# standard decohered runs (m = 6144 down to 8), so the bound has 2x
-# headroom.  A step that allocates its own block buffers peaks at
-# 594-734 KiB.
+# grid as in a run, over the steps of the standard decohered runs (m = 6144
+# down to 8): 226 KiB at the first N = 1 step (m = 6144), 127-182 KiB at
+# every other step of N = 1, 2 and 3, so the bound has 1.6x headroom at
+# that step and 2x at the others.  Block buffers taken from the heap on
+# every step would exceed it: they peaked at 594-734 KiB.
 _STEP_PEAK_BYTES = 2 * 181 * 1024
 # The same of one warm chunk step over 8 runs with the chunk's workspace,
 # on the cells a chunk steps on: 159-249 KiB on the steps that end within
@@ -686,40 +710,38 @@ def test_run_step_allocates_no_block_buffers(n_qubits):
     evaluator = _evaluator(n_qubits, decohere=True)
     grid = build_flux_grid(DESIGN, BIAS, config)
     true_flux = float(grid.fluxes[901 % len(grid)])
-    workspace = np.empty(pea._workspace_cells(config))
+    workspace = pea._workspace(1, len(grid))
     rng = np.random.default_rng(n_qubits)
-    _step_alone(grid, true_flux, evaluator, config, rng, workspace=workspace)  # warm
+    _step_alone(grid, true_flux, evaluator, config, rng, workspace)  # warm
     candidates, peaks = grid, {}
     for _ in range(config.n_steps):
         tracemalloc.start()
         try:
-            rec = _step_alone(candidates, true_flux, evaluator, config, rng,
-                              workspace=workspace)
+            rec = _step_alone(candidates, true_flux, evaluator, config, rng, workspace)
             peaks[len(candidates)] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         candidates = rec.survivors
     assert max(peaks.values()) <= _STEP_PEAK_BYTES, peaks
     # a chunk of 8 runs steps the cells of a chunk with its own workspace
-    runs, widths = 8, pea._cell_widths(config)
-    count = len(grid) // widths[0]
-    candidates = pea._cells(grid.spacing, np.zeros((runs, 1)), widths[0],
+    runs, width = 8, pea._first_width(config)
+    count = len(grid) // width
+    candidates = pea._cells(grid.spacing, np.zeros((runs, 1)), width,
                             np.full((runs, count), 1.0 / count))
-    true_detunings = evaluator.detuning(grid.fluxes[(901 + 311 * np.arange(runs)) % len(grid)])
+    true_fluxes = grid.fluxes[(901 + 311 * np.arange(runs)) % len(grid)]
     rngs = [np.random.default_rng((n_qubits, run)) for run in range(runs)]
-    workspace = pea._workspace(runs * pea._workspace_cells(config))
-    pea._step_chunk(candidates, true_detunings, evaluator, config, rngs,
-                    workspace=workspace)  # warm
+    workspace = pea._workspace(runs, count)
+    pea._step_chunk(candidates, true_fluxes, evaluator, config, rngs, workspace)  # warm
     peaks = {}
-    for step, width in enumerate(widths, start=1):
+    for step in range(1, config.n_steps + 1):
         tracemalloc.start()
         try:
-            rec = pea._step_chunk(candidates, true_detunings, evaluator, config, rngs,
-                                  workspace=workspace)
+            rec = pea._step_chunk(candidates, true_fluxes, evaluator, config, rngs, workspace)
             peaks[step] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        candidates = pea._refine(rec.survivors, grid.spacing) if width > 1 else rec.survivors
+        kept = rec.survivors
+        candidates = pea._refine(kept, grid.spacing) if kept.spacing > grid.spacing else kept
     assert max(peaks.values()) <= _CHUNK_STEP_PEAK_BYTES, peaks
 
 
@@ -753,24 +775,57 @@ def test_steps_run_on_cells_until_the_grid_is_that_fine(monkeypatch, n_qubits, d
         fine = CandidateSet.uniform(grid.fluxes[start:start + points], grid.spacing)
         assert (rec.tau, rec.theta) == choose_delay(fine, evaluator)
     assert fed[-1].spacing == grid.spacing, "the last step is not on grid points"
-    assert pea._cell_widths(config)[0] == size // cells
+    assert pea._first_width(config) == size // cells
 
 
-def test_cell_schedule():
+def test_cell_schedule(monkeypatch):
+    fed = _fed_candidates(monkeypatch)
+
+    def widths(**kwargs):
+        """Grid points per cell of the sets a run of PeaConfig(**kwargs) steps on."""
+        config = PeaConfig(**kwargs)
+        grid = build_flux_grid(DESIGN, BIAS, config)
+        fed.clear()
+        run_single(float(grid.fluxes[len(grid) // 3]),
+                   _evaluator(config.n_qubits, config.decoherence_enabled), config,
+                   np.random.default_rng(0))
+        return [round(candidates.spacing / grid.spacing) for candidates in fed]
+
     # grids of at most 64 points run on grid points throughout (j0 = 0)
     for grid_size, n_steps in [(16, 4), (64, 6)]:
-        config = PeaConfig(n_qubits=3, grid_size=grid_size, n_steps=n_steps)
-        assert pea._cell_widths(config) == [1] * n_steps
-    assert pea._cell_widths(PeaConfig(n_qubits=1, grid_size=128, n_steps=7)) == [2] + [1] * 6
+        assert widths(n_qubits=3, grid_size=grid_size, n_steps=n_steps) == [1] * n_steps
+    assert widths(n_qubits=1, grid_size=128, n_steps=7) == [2] + [1] * 6
     # j0 is capped at n_steps - 1, so the last step runs on grid points
-    assert pea._cell_widths(PeaConfig(n_qubits=1, n_steps=3)) == [4, 2, 1]
-    assert pea._cell_widths(PeaConfig(n_qubits=3, n_steps=1)) == [1]
-    assert pea._cell_widths(PeaConfig(n_qubits=2)) == [64, 32, 16, 8, 4, 2, 1, 1, 1]
-    # the workspace holds the widest block layout of the cells the run steps on
-    config = PeaConfig(n_qubits=1)
-    assert pea._workspace_cells(config) == max(
-        rows * sum(columns)
-        for rows, columns in (pea._block_layout(m, config.measurement_cap) for m in (48, 24)))
+    assert widths(n_qubits=1, n_steps=3) == [4, 2, 1]
+    assert widths(n_qubits=3, n_steps=1) == [1]
+    assert widths(n_qubits=2) == [64, 32, 16, 8, 4, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("cap", [1, 100, 10_000])
+def test_workspace_rows_hold_every_block(cap):
+    # a block over m candidates holds min(max(1, _BLOCK_CELLS // m), cap)
+    # readouts a run: its posterior (m cells a readout) and the window
+    # test's below (m/2 + 1) each fit one row of the workspace
+    sizes = [*range(2, 65, 2), 1536, 2048, 3072, 6144, 2 * pea._BLOCK_CELLS + 2]
+    for m in sizes:
+        rows = min(max(1, pea._BLOCK_CELLS // m), cap)
+        workspace = pea._workspace(1, m)
+        assert workspace.shape[0] == 3
+        assert rows * m <= workspace.shape[1] and rows * (m // 2 + 1) <= workspace.shape[1], m
+
+
+def test_run_on_more_cells_than_a_block_matches_sequential_oracle():
+    # a first step over more than _BLOCK_CELLS grid points: blocks of one
+    # readout, whose posterior fills more than _BLOCK_CELLS cells of its row
+    config = PeaConfig(n_qubits=1, grid_size=65536, n_steps=1, decoherence_enabled=False)
+    evaluator = _evaluator(1)
+    grid = build_flux_grid(DESIGN, BIAS, config)
+    assert len(grid) > pea._BLOCK_CELLS and pea._first_width(config) == 1
+    result = run_single(float(grid.fluxes[40_503]), evaluator, config,
+                        np.random.default_rng(6553), record_steps=True)
+    (rec,) = result.steps
+    _assert_same_survivors(_replay_step(grid, rec, evaluator, config), rec)
+    assert result.retained.all()
 
 
 def test_run_step_two_candidates():
